@@ -11,13 +11,14 @@ Three reference problems with closed-form solutions drive validation:
   exact bending solution involves a Fourier series.
 
 Each problem supplies a node generator (structured or jittered), exact
-fields, and a recovery routine; `convergence_study` sweeps refinement
+fields, and the input field its derived fields are recovered from; `convergence_study` sweeps refinement
 levels and fits convergence slopes of the normalized RMS error against the
 normalized spacing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -331,23 +332,6 @@ def _box_cloud(level: int, kind: str, seed: int, p: CantileverParams) -> PointCl
 # benchmark problem bundles
 
 
-@dataclass(frozen=True)
-class BenchmarkProblem:
-    """One benchmark: node generator, exact fields, and recovery routine.
-
-    `exact` maps node coordinates to named reference fields; `recovered`
-    maps (cloud, index, options) to the same named fields computed by the
-    discrete operators, plus per-node diagnostics.
-    """
-
-    name: str
-    dim: int
-    components: tuple[str, ...]
-    generate: Callable[[int, str, int], PointCloud]
-    exact: Callable[[np.ndarray], dict[str, np.ndarray]]
-    recovered: Callable[..., tuple[dict[str, np.ndarray], dict[str, float]]]
-
-
 def _operator_diagnostics(
     ops: tuple[StencilOperator, ...], cloud: PointCloud
 ) -> dict[str, float]:
@@ -361,12 +345,31 @@ def _operator_diagnostics(
     }
 
 
-def _franke_problem() -> BenchmarkProblem:
-    def exact(coords):
-        gx, gy = franke_grad(coords[:, 0], coords[:, 1])
-        return {"du_dx": gx, "du_dy": gy}
+@dataclass(frozen=True)
+class BenchmarkProblem:
+    """One benchmark: node generator, exact fields, and recovery input.
 
-    def recovered(cloud, index, *, r=2, eps_factor=1.0, neighbor_factor=2.0, threads=None):
+    `exact` maps node coordinates to named reference fields and
+    `input_field` to the nodal values the operators act on: a scalar field
+    when `material` is None, else a displacement field. `picks` gives, for
+    each of the `components`, the gradient axis of the scalar field or the
+    stress component of the displacement field it is read from.
+    """
+
+    name: str
+    dim: int
+    components: tuple[str, ...]
+    generate: Callable[[int, str, int], PointCloud]
+    exact: Callable[[np.ndarray], dict[str, np.ndarray]]
+    input_field: Callable[[np.ndarray], np.ndarray]
+    picks: tuple
+    material: ElasticMaterial | None = None
+
+    def recovered(
+        self, cloud, index, *, r=2, eps_factor=1.0, neighbor_factor=2.0, threads=None
+    ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+        """The named fields computed by the discrete operators, plus the
+        operator diagnostics."""
         ops = gradient_operator(
             cloud,
             index,
@@ -375,17 +378,33 @@ def _franke_problem() -> BenchmarkProblem:
             neighbor_factor=neighbor_factor,
             threads=threads,
         )
-        values = franke(cloud.coords[:, 0], cloud.coords[:, 1])
-        fields = {"du_dx": ops[0].apply(values), "du_dy": ops[1].apply(values)}
-        return fields, _operator_diagnostics(ops, cloud)
+        values = self.input_field(cloud.coords)
+        if self.material is None:
+            out = [ops[axis].apply(values) for axis in self.picks]
+        else:
+            rec = recover(cloud, index, values, self.material, r=r, operators=ops)
+            out = [rec.stress.component(name) for name in self.picks]
+        return dict(zip(self.components, out)), _operator_diagnostics(ops, cloud)
 
+
+def _franke_exact(coords):
+    gx, gy = franke_grad(coords[:, 0], coords[:, 1])
+    return {"du_dx": gx, "du_dy": gy}
+
+
+def _franke_field(coords):
+    return franke(coords[:, 0], coords[:, 1])
+
+
+def _franke_problem() -> BenchmarkProblem:
     return BenchmarkProblem(
         name="franke",
         dim=2,
         components=("du_dx", "du_dy"),
         generate=_square_cloud,
-        exact=exact,
-        recovered=recovered,
+        exact=_franke_exact,
+        input_field=_franke_field,
+        picks=(0, 1),
     )
 
 
@@ -397,79 +416,39 @@ def _plate_problem(
 ) -> BenchmarkProblem:
     mat = material or ElasticMaterial(young=200.0e9, poisson=0.3)
 
-    def generate(level, kind, seed):
-        return _plate_cloud(level, kind, seed, a, width)
-
     def exact(coords):
         sxx, syy, sxy = kirsch_stress(coords[:, 0], coords[:, 1], sigma0=sigma0, a=a)
         return {"sxx": sxx, "sxy": sxy, "syy": syy}
 
-    def recovered(cloud, index, *, r=2, eps_factor=1.0, neighbor_factor=2.0, threads=None):
-        ops = gradient_operator(
-            cloud,
-            index,
-            r,
-            eps_factor=eps_factor,
-            neighbor_factor=neighbor_factor,
-            threads=threads,
-        )
+    def displacement(coords):
         ux, uy = kirsch_displacement(
-            cloud.coords[:, 0], cloud.coords[:, 1], mat, sigma0=sigma0, a=a
+            coords[:, 0], coords[:, 1], mat, sigma0=sigma0, a=a
         )
-        rec = recover(
-            cloud, index, np.column_stack([ux, uy]), mat, r=r, operators=ops
-        )
-        fields = {
-            "sxx": rec.stress.component("xx"),
-            "sxy": rec.stress.component("xy"),
-            "syy": rec.stress.component("yy"),
-        }
-        return fields, _operator_diagnostics(ops, cloud)
+        return np.column_stack([ux, uy])
 
     return BenchmarkProblem(
         name="plate",
         dim=2,
         components=("sxx", "sxy", "syy"),
-        generate=generate,
+        generate=functools.partial(_plate_cloud, a=a, width=width),
         exact=exact,
-        recovered=recovered,
+        input_field=displacement,
+        picks=("xx", "xy", "yy"),
+        material=mat,
     )
 
 
 def _cantilever_problem(params: CantileverParams | None = None) -> BenchmarkProblem:
     p = params or CantileverParams()
-
-    def generate(level, kind, seed):
-        return _box_cloud(level, kind, seed, p)
-
-    def exact(coords):
-        return cantilever_stress(coords, p)
-
-    def recovered(cloud, index, *, r=2, eps_factor=1.0, neighbor_factor=2.0, threads=None):
-        ops = gradient_operator(
-            cloud,
-            index,
-            r,
-            eps_factor=eps_factor,
-            neighbor_factor=neighbor_factor,
-            threads=threads,
-        )
-        u = cantilever_displacement(cloud.coords, p)
-        rec = recover(cloud, index, u, p.material, r=r, operators=ops)
-        fields = {
-            "szz": rec.stress.component("zz"),
-            "sxz": rec.stress.component("xz"),
-            "syz": rec.stress.component("yz"),
-        }
-        return fields, _operator_diagnostics(ops, cloud)
-
     return BenchmarkProblem(
         name="cantilever",
         dim=3,
         components=("szz", "sxz", "syz"),
-        generate=generate,
-        exact=exact,
-        recovered=recovered,
+        generate=functools.partial(_box_cloud, p=p),
+        exact=functools.partial(cantilever_stress, params=p),
+        input_field=functools.partial(cantilever_displacement, params=p),
+        picks=("zz", "xz", "yz"),
+        material=p.material,
     )
 
 

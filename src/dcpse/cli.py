@@ -264,7 +264,7 @@ def _add_operator_args(parser):
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: DCPSE_THREADS or all cores)",
+        help="worker threads (default: DCPSE_THREADS or 1)",
     )
 
 

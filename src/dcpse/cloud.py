@@ -128,6 +128,16 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud=cloud, tree=tree)
 
 
+def _by_distance(coords: np.ndarray, center: int, candidates):
+    """Candidate ids other than the center and their distances to it, sorted
+    by (distance, id), the order a brute-force scan gives."""
+    cand = np.asarray(candidates, dtype=np.intp)
+    cand = cand[cand != center]
+    d = np.sqrt(np.sum((coords[cand] - coords[center]) ** 2, axis=1))
+    order = np.lexsort((cand, d))
+    return cand[order], d[order]
+
+
 def k_nearest(index: SpatialIndex, center: int, k: int) -> NeighborSet:
     """Return the k nearest neighbors of node `center`, excluding itself.
 
@@ -158,13 +168,10 @@ def k_nearest(index: SpatialIndex, center: int, k: int) -> NeighborSet:
     dist, _ = index.tree.query(x, k=k + 1)
     cutoff = dist[-1]
     # Inflated ball captures every node tied with the k-th distance so the
-    # (distance, id) sort below reproduces the brute-force order exactly.
+    # (distance, id) sort reproduces the brute-force order exactly.
     candidates = index.tree.query_ball_point(x, r=cutoff * (1.0 + 1e-12) + 1e-300)
-    cand = np.asarray(sorted(candidates), dtype=np.intp)
-    cand = cand[cand != center]
-    d = np.sqrt(np.sum((cloud.coords[cand] - x) ** 2, axis=1))
-    order = np.lexsort((cand, d))[:k]
-    return NeighborSet(node=center, ids=cand[order], distances=d[order])
+    ids, d = _by_distance(cloud.coords, center, candidates)
+    return NeighborSet(node=center, ids=ids[:k], distances=d[:k])
 
 
 def _k_nearest_arrays(index: SpatialIndex, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -186,14 +193,11 @@ def _k_nearest_arrays(index: SpatialIndex, k: int) -> list[tuple[np.ndarray, np.
     coords = cloud.coords
     dist, _ = index.tree.query(coords, k=k + 1)
     cutoffs = dist[:, -1] * (1.0 + 1e-12) + 1e-300
-    balls = index.tree.query_ball_point(coords, r=cutoffs, return_sorted=True)
+    balls = index.tree.query_ball_point(coords, r=cutoffs)
     out = []
     for center in range(n):
-        cand = np.asarray(balls[center], dtype=np.intp)
-        cand = cand[cand != center]
-        d = np.sqrt(np.sum((coords[cand] - coords[center]) ** 2, axis=1))
-        order = np.lexsort((cand, d))[:k]
-        out.append((cand[order], d[order]))
+        ids, d = _by_distance(coords, center, balls[center])
+        out.append((ids[:k], d[:k]))
     return out
 
 
@@ -211,15 +215,12 @@ def radius_neighbors(index: SpatialIndex, center: int, radius: float) -> Neighbo
         )
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    x = cloud.coords[center]
-    candidates = index.tree.query_ball_point(x, r=radius * (1.0 + 1e-12))
-    cand = np.asarray(sorted(candidates), dtype=np.intp)
-    cand = cand[cand != center]
-    d = np.sqrt(np.sum((cloud.coords[cand] - x) ** 2, axis=1))
-    inside = d <= radius
-    cand, d = cand[inside], d[inside]
-    order = np.lexsort((cand, d))
-    return NeighborSet(node=center, ids=cand[order], distances=d[order])
+    candidates = index.tree.query_ball_point(
+        cloud.coords[center], r=radius * (1.0 + 1e-12)
+    )
+    ids, d = _by_distance(cloud.coords, center, candidates)
+    inside = np.searchsorted(d, radius, side="right")
+    return NeighborSet(node=center, ids=ids[:inside], distances=d[:inside])
 
 
 def average_spacing(cloud: PointCloud, neighbors: NeighborSet) -> float:

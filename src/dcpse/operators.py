@@ -46,6 +46,7 @@ from .cloud import (
 _RESIDUAL_TOL = 1e-10
 _GROWTH = 1.5
 _MAX_BASIS_DEGREE = 6
+_VERIFY_BLOCK = 512  # nodes per stacked moment check
 
 
 class InsufficientSupportError(ValueError):
@@ -235,9 +236,9 @@ class MomentSystem:
 
 
 def _basis_matrix(scaled: np.ndarray, basis_arr: np.ndarray) -> np.ndarray:
-    # scaled: (k, d), basis_arr: (l, d) -> V: (k, l); 0**0 == 1 covers the
-    # constant monomial.
-    return np.prod(scaled[:, None, :] ** basis_arr[None, :, :], axis=2)
+    # scaled: (..., k, d), basis_arr: (l, d) -> V: (..., k, l); 0**0 == 1
+    # covers the constant monomial.
+    return np.prod(scaled[..., None, :] ** basis_arr, axis=-1)
 
 
 def _rhs(basis: list[tuple[int, ...]], alpha: tuple[int, ...]) -> np.ndarray:
@@ -376,22 +377,34 @@ def kernel_weights(system: MomentSystem, coeffs: np.ndarray, order: int) -> np.n
 class StencilOperator:
     """A derivative operator assembled over every node of one cloud.
 
-    Per node p the stencil stores neighbor ids and weights w_q; applying
-    the operator evaluates sum_q w_q (f_q + sign * f_p). Diagnostics from
-    construction (kernel width, support size, condition estimate) are kept
-    per node.
+    The CSR matrix is the only store of the stencils: row p holds the
+    weights w_q of node p's neighbors and, last, the center coupling
+    sign * sum_q w_q, so applying the operator evaluates
+    sum_q w_q (f_q + sign * f_p). `neighbor_ids` and `weights` are
+    read-only per-node views of those rows without the center entry.
+    Diagnostics from construction (kernel width, support size, condition
+    estimate) are kept per node, in read-only arrays that the components of
+    one gradient build share.
     """
 
     alpha: tuple[int, ...]
     r: int
     dim: int
     n: int
-    neighbor_ids: list[np.ndarray] = field(repr=False)
-    weights: list[np.ndarray] = field(repr=False)
     eps: np.ndarray = field(repr=False)
     support_size: np.ndarray = field(repr=False)
     condition: np.ndarray = field(repr=False)
     _matrix: csr_matrix = field(repr=False, compare=False)
+    neighbor_ids: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = self._matrix
+        for arr in (m.data, m.indices, m.indptr):
+            arr.flags.writeable = False
+        rows = list(zip(m.indptr[:-1].tolist(), (m.indptr[1:] - 1).tolist()))
+        object.__setattr__(self, "neighbor_ids", [m.indices[a:b] for a, b in rows])
+        object.__setattr__(self, "weights", [m.data[a:b] for a, b in rows])
 
     @property
     def order(self) -> int:
@@ -405,30 +418,11 @@ class StencilOperator:
         return apply(self, values)
 
 
-def _stencil_matrix(
-    n: int, sign: int, ids: list[np.ndarray], weights: list[np.ndarray]
-) -> csr_matrix:
-    counts = np.fromiter((w.size for w in weights), dtype=np.intp, count=n)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(counts + 1, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.intp)
-    data = np.empty(indptr[-1], dtype=np.float64)
-    for p in range(n):
-        lo, hi = indptr[p], indptr[p + 1]
-        indices[lo : hi - 1] = ids[p]
-        data[lo : hi - 1] = weights[p]
-        indices[hi - 1] = p  # center coupling last, fixed summation order
-        data[hi - 1] = sign * np.sum(weights[p])
-    return csr_matrix((data, indices, indptr), shape=(n, n))
-
-
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
-        env = os.environ.get("DCPSE_THREADS", "").strip()
-        if env:
-            threads = int(env)
-        else:
-            threads = os.cpu_count() or 1
+        # one by default: the per-node solves hold the GIL, so a pool
+        # measured slower than a single thread
+        threads = int(os.environ.get("DCPSE_THREADS", "").strip() or 1)
     if threads < 1:
         raise ValueError(f"thread count must be positive, got {threads}")
     return threads
@@ -445,7 +439,8 @@ def _build_node(
     prefetch: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ):
     """Build all requested weight sets at node p, growing the support on
-    ill-conditioning. Returns (ids, weight matrix, eps, support k, cond)."""
+    ill-conditioning. Returns (row ids, row weights, eps, support k, cond):
+    one CSR row per weight set, the center coupling last in each row."""
     n = cloud.n
     k = k0
     last_error: Exception | None = None
@@ -463,17 +458,19 @@ def _build_node(
         try:
             coeffs = _solve_columns(system, rhs, spec.cond_threshold, p)
         except IllConditionedNodeError as err:
-            last_error = err
+            # without its traceback: that holds this frame, whose locals
+            # hold the error, a cycle that keeps each failed system alive
+            last_error = err.with_traceback(None)
             if k >= n - 1:
                 break
             k = min(math.ceil(_GROWTH * k), n - 1)
             continue
-        window = system.E**2
-        w = np.empty((system.k, coeffs.shape[1]))
+        w = np.empty((system.k + 1, coeffs.shape[1]))
         for j in range(coeffs.shape[1]):
-            w[:, j] = (system.V @ coeffs[:, j]) * window / eps**spec.order
+            w[:-1, j] = kernel_weights(system, coeffs[:, j], spec.order)
+            w[-1, j] = spec.sign * np.sum(w[:-1, j])  # fixed summation order
         cond = system.condition_estimate() if system.k >= system.l else float("inf")
-        return neighbors.ids, w, eps, k, cond
+        return np.append(neighbors.ids, p), w, eps, k, cond
     raise last_error if last_error is not None else RuntimeError("unreachable")
 
 
@@ -498,28 +495,16 @@ def _build_many(
     if k0 < 1:
         raise InsufficientSupportError("cloud has no neighbors to build stencils from")
 
-    ids_out: list = [None] * n
-    w_out: list = [None] * n
-    eps_out = np.empty(n)
-    size_out = np.empty(n, dtype=np.intp)
-    cond_out = np.empty(n)
+    results: list = [None] * n
     failed: dict[int, str] = {}
     # one batched tree pass covers the first attempt at every node
     prefetch = _k_nearest_arrays(index, k0)
 
     def run(p: int):
         try:
-            ids, w, eps, k, cond = _build_node(
-                cloud, index, spec, rhs, l, k0, p, prefetch
-            )
+            results[p] = _build_node(cloud, index, spec, rhs, l, k0, p, prefetch)
         except (IllConditionedNodeError, DuplicateNodeError) as err:
             failed[p] = str(err)
-            return
-        ids_out[p] = ids
-        w_out[p] = w
-        eps_out[p] = eps
-        size_out[p] = k
-        cond_out[p] = cond
 
     nthreads = _resolve_threads(threads)
     if nthreads == 1 or n < 64:
@@ -531,23 +516,30 @@ def _build_many(
     if failed:
         raise OperatorBuildError(failed)
 
+    ids, w, eps, size, cond = zip(*results)
+    eps, size, cond = np.array(eps), np.array(size, dtype=np.intp), np.array(cond)
+    for arr in (eps, size, cond):
+        arr.flags.writeable = False  # shared by every operator built here
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(size + 1, out=indptr[1:])
+    indices = np.concatenate(ids)
+    data = np.concatenate(w)
     ops = []
     for j, alpha in enumerate(alphas):
-        ids_j = [ids for ids in ids_out]
-        w_j = [w[:, j] for w in w_out]
-        sign = 1 if multi_index_order(alpha) % 2 == 1 else -1
+        matrix = csr_matrix(
+            (np.ascontiguousarray(data[:, j]), indices, indptr), shape=(n, n)
+        )
+        indices, indptr = matrix.indices, matrix.indptr  # shared with the next
         ops.append(
             StencilOperator(
                 alpha=alpha,
                 r=spec.r,
                 dim=cloud.dim,
                 n=n,
-                neighbor_ids=ids_j,
-                weights=w_j,
-                eps=eps_out.copy(),
-                support_size=size_out.copy(),
-                condition=cond_out.copy(),
-                _matrix=_stencil_matrix(n, sign, ids_j, w_j),
+                eps=eps,
+                support_size=size,
+                condition=cond,
+                _matrix=matrix,
             )
         )
     return ops
@@ -633,13 +625,24 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     """
     if cloud.n != op.n or cloud.dim != op.dim:
         raise ValueError("operator was built for a different cloud")
-    basis_arr = np.asarray(monomial_basis(op.alpha, op.r), dtype=np.float64)
-    target = _rhs([tuple(int(c) for c in row) for row in basis_arr], op.alpha)
+    basis, basis_arr = _basis_cached(tuple(op.alpha), op.r)
+    target = _rhs(list(basis), op.alpha)
+    ids = np.concatenate(op.neighbor_ids)
+    w = np.concatenate(op.weights)
+    counts = np.fromiter(map(len, op.weights), dtype=np.intp, count=op.n)
+    starts = np.cumsum(counts) - counts
     out = np.empty(op.n)
-    scale_pow = op.order
-    for p in range(op.n):
-        v = (cloud.coords[p] - cloud.coords[op.neighbor_ids[p]]) / op.eps[p]
-        phi = op.weights[p] * op.eps[p] ** scale_pow
-        Z = _basis_matrix(v, basis_arr).T @ phi
-        out[p] = np.max(np.abs(Z - target))
+    # one stacked product per support size and block of nodes: each node's
+    # moments come from the same (k, l) matrix-vector product a single-node
+    # check would run, and the blocks bound the temporary memory
+    for k in np.unique(counts):
+        same = np.flatnonzero(counts == k)
+        for b in range(0, same.size, _VERIFY_BLOCK):
+            nodes = same[b : b + _VERIFY_BLOCK]
+            at = starts[nodes, None] + np.arange(k)  # (nodes, k) stencil entries
+            eps = op.eps[nodes, None]
+            v = (cloud.coords[nodes, None] - cloud.coords[ids[at]]) / eps[..., None]
+            V = _basis_matrix(v, basis_arr)
+            Z = np.matmul(V.transpose(0, 2, 1), (w[at] * eps**op.order)[..., None])
+            out[nodes] = np.max(np.abs(Z[..., 0] - target), axis=1)
     return out

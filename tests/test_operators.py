@@ -1,6 +1,7 @@
 """Derivative stencil construction: basis, moment systems, solving, apply."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dcpse import (
     assemble_moment_system,
     build_index,
     build_operator,
+    generate_nodes,
     gradient_operator,
     k_nearest,
     monomial_basis,
@@ -336,6 +338,106 @@ class TestGradientOperator:
         assert _relative_error(ops[0].apply(x), np.ones(cloud.n)) < 1e-10
         assert _relative_error(ops[0].apply(y), np.zeros(cloud.n)) < 1e-10
         assert _relative_error(ops[1].apply(y), np.ones(cloud.n)) < 1e-10
+
+
+class TestStencilStore:
+    def test_rows_are_read_only_views_of_the_csr_arrays(self, indexed2d):
+        cloud, index = indexed2d
+        op = build_operator(cloud, index, OperatorSpec(alpha=(1, 0)))
+        for p in (0, cloud.n // 2, cloud.n - 1):
+            assert np.shares_memory(op.weights[p], op._matrix.data)
+            assert np.shares_memory(op.neighbor_ids[p], op._matrix.indices)
+            assert not op.weights[p].flags.writeable
+            assert not op.neighbor_ids[p].flags.writeable
+            with pytest.raises(ValueError):
+                op.weights[p][0] = 0.0
+
+    def test_center_entry_closes_each_row(self, indexed2d):
+        cloud, index = indexed2d
+        ops = gradient_operator(cloud, index) + (
+            build_operator(cloud, index, OperatorSpec(alpha=(2, 0))),
+        )
+        for op in ops:
+            m = op._matrix
+            for p in range(cloud.n):
+                lo, hi = m.indptr[p], m.indptr[p + 1]
+                assert hi - lo == op.support_size[p] + 1
+                assert np.array_equal(m.indices[lo : hi - 1], op.neighbor_ids[p])
+                assert m.indices[hi - 1] == p
+                assert m.data[hi - 1] == op.sign * np.sum(op.weights[p])
+
+    def test_gradient_components_share_diagnostics(self, indexed2d):
+        cloud, index = indexed2d
+        ops = gradient_operator(cloud, index)
+        for op in ops[1:]:
+            assert op.eps is ops[0].eps
+            assert op.support_size is ops[0].support_size
+            assert op.condition is ops[0].condition
+        assert not ops[0].eps.flags.writeable
+
+
+def _moment_deviation_per_node(op, cloud):
+    """verify_moments written as a loop over nodes, one stencil at a time."""
+    basis = monomial_basis(op.alpha, op.r)
+    basis_arr = np.asarray(basis, dtype=np.float64)
+    target = np.zeros(len(basis))
+    target[basis.index(op.alpha)] = (-1) ** op.order * math.prod(
+        math.factorial(a) for a in op.alpha
+    )
+    out = np.empty(op.n)
+    for p in range(op.n):
+        v = (cloud.coords[p] - cloud.coords[op.neighbor_ids[p]]) / op.eps[p]
+        phi = op.weights[p] * op.eps[p] ** op.order
+        V = np.prod(v[:, None, :] ** basis_arr[None, :, :], axis=2)
+        out[p] = np.max(np.abs(V.T @ phi - target))
+    return out
+
+
+class TestVerifyMoments:
+    @pytest.fixture(scope="class")
+    def cantilever(self):
+        # 525 nodes; the regrown ones have longer rows than the rest
+        cloud = generate_nodes("cantilever", 0)
+        ops = gradient_operator(cloud, build_index(cloud))
+        sizes, counts = np.unique(ops[0].support_size, return_counts=True)
+        assert sizes.tolist() == [20, 30] and counts.tolist() == [438, 87]
+        return cloud, ops
+
+    def test_matches_per_node_loop(self, cantilever):
+        cloud, ops = cantilever
+        for op in ops:
+            got = verify_moments(op, cloud)
+            want = _moment_deviation_per_node(op, cloud)
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_perturbed_weight_shows_at_its_node_only(self, cantilever):
+        cloud, ops = cantilever
+        op = ops[2]
+        base = verify_moments(op, cloud)
+        # nodes on both sides of every change of row length in the first rows
+        edges = np.flatnonzero(np.diff(op.support_size))[:4]
+        for node in np.union1d(edges, edges + 1):
+            size = np.abs(op.weights[node])
+            # the largest weight and the last one of a comparable size
+            big = np.flatnonzero(size > 0.1 * np.max(size))
+            for entry in (np.argmax(size), big[-1]):
+                w = op.weights[node].copy()
+                w[entry] *= 1.0 + 1e-6
+                weights = list(op.weights)
+                weights[node] = w
+                perturbed = SimpleNamespace(
+                    alpha=op.alpha,
+                    r=op.r,
+                    order=op.order,
+                    n=op.n,
+                    dim=op.dim,
+                    eps=op.eps,
+                    neighbor_ids=op.neighbor_ids,
+                    weights=weights,
+                )
+                got = verify_moments(perturbed, cloud)
+                assert np.flatnonzero(got != base).tolist() == [node]
+                assert got[node] > base[node] + 1e-10
 
 
 class TestApply:
