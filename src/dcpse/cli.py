@@ -264,7 +264,8 @@ def _add_operator_args(parser):
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: DCPSE_THREADS or 1)",
+        help="accepted for compatibility and checked to be positive; the "
+        "build is one batched pass, so the count changes nothing",
     )
 
 

@@ -9,6 +9,7 @@ distance scan would return, with ties broken by ascending node id.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -174,13 +175,18 @@ def k_nearest(index: SpatialIndex, center: int, k: int) -> NeighborSet:
     return NeighborSet(node=center, ids=ids[:k], distances=d[:k])
 
 
-def _k_nearest_arrays(index: SpatialIndex, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(ids, distances) of the k nearest neighbors for every node at once.
+def _k_nearest_arrays(
+    index: SpatialIndex, k: int, nodes=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, distances) of the k nearest neighbors of many nodes at once.
 
-    One batched tree pass instead of n individual queries; the per-node
-    post-processing is the same as in `k_nearest`, so the arrays match it
-    element for element. Duplicate detection is left to the caller (wrap
-    the arrays in a NeighborSet), keeping per-node failure semantics.
+    Returns two (m, k) arrays, one row per entry of `nodes` (every node of
+    the cloud by default). One batched tree pass replaces m `k_nearest`
+    calls: the inflated-ball candidates are padded into one 2-d array and
+    sorted row by row by (distance, id) with the same distance formula, so
+    each row matches `k_nearest` element for element. Duplicate detection
+    is left to the caller (a zero first distance), keeping per-node failure
+    semantics.
     """
     cloud = index.cloud
     n = cloud.n
@@ -191,14 +197,21 @@ def _k_nearest_arrays(index: SpatialIndex, k: int) -> list[tuple[np.ndarray, np.
             f"requested {k} neighbors but cloud has only {n - 1} other nodes"
         )
     coords = cloud.coords
-    dist, _ = index.tree.query(coords, k=k + 1)
+    nodes = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.intp)
+    x = coords[nodes]
+    dist, _ = index.tree.query(x, k=k + 1)
     cutoffs = dist[:, -1] * (1.0 + 1e-12) + 1e-300
-    balls = index.tree.query_ball_point(coords, r=cutoffs)
-    out = []
-    for center in range(n):
-        ids, d = _by_distance(coords, center, balls[center])
-        out.append((ids[:k], d[:k]))
-    return out
+    balls = index.tree.query_ball_point(x, r=cutoffs)
+    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=nodes.size)
+    # pad each row with its own center, which is excluded below anyway
+    cand = np.repeat(nodes[:, None], sizes.max(), axis=1)
+    cand[np.arange(cand.shape[1]) < sizes[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(balls), dtype=np.intp, count=int(sizes.sum())
+    )
+    d = np.sqrt(np.sum((coords[cand] - x[:, None]) ** 2, axis=2))
+    d[cand == nodes[:, None]] = np.inf
+    order = np.lexsort((cand, d))[:, :k]
+    return np.take_along_axis(cand, order, 1), np.take_along_axis(d, order, 1)
 
 
 def radius_neighbors(index: SpatialIndex, center: int, radius: float) -> NeighborSet:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,7 @@ from .cloud import (
 _RESIDUAL_TOL = 1e-10
 _GROWTH = 1.5
 _MAX_BASIS_DEGREE = 6
-_VERIFY_BLOCK = 512  # nodes per stacked moment check
+_BLOCK = 512  # nodes per stacked pass; bounds the (m, k, l, d) basis temporary
 
 
 class InsufficientSupportError(ValueError):
@@ -419,59 +418,108 @@ class StencilOperator:
 
 
 def _resolve_threads(threads: int | None) -> int:
+    """The requested thread count, checked to be positive. The build is one
+    batched pass, so the count changes nothing; it is kept as a checked
+    setting for callers that pass it."""
     if threads is None:
-        # one by default: the per-node solves hold the GIL, so a pool
-        # measured slower than a single thread
         threads = int(os.environ.get("DCPSE_THREADS", "").strip() or 1)
     if threads < 1:
         raise ValueError(f"thread count must be positive, got {threads}")
     return threads
 
 
-def _build_node(
+def _solve_block(
     cloud: PointCloud,
     index: SpatialIndex,
     spec: OperatorSpec,
     rhs: np.ndarray,
-    l: int,
-    k0: int,
-    p: int,
-    prefetch: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    nodes: np.ndarray,
+    k: int,
 ):
-    """Build all requested weight sets at node p, growing the support on
-    ill-conditioning. Returns (row ids, row weights, eps, support k, cond):
-    one CSR row per weight set, the center coupling last in each row."""
-    n = cloud.n
-    k = k0
-    last_error: Exception | None = None
-    for attempt in range(spec.max_growth_attempts + 1):
-        if prefetch is not None and k == k0:
-            ids, dists = prefetch[p]
-            neighbors = NeighborSet(node=p, ids=ids, distances=dists)
-        else:
-            neighbors = k_nearest(index, p, k)
-        h = average_spacing(cloud, neighbors)
-        eps = spec.eps_factor * h
-        system = assemble_moment_system(
-            cloud, neighbors, spec, eps, allow_underdetermined=k < l
-        )
+    """One growth attempt at support size k over a block of nodes.
+
+    Runs the whole chain as stacked array passes: kNN, spacing, moment
+    assembly, the condition gate, the solve with two refinement steps, the
+    residual gate and the weight fold. Every node's numbers come from its own
+    slice of each stacked operation, so they do not depend on the block.
+    Returns the nodes that passed as (nodes, ids (m, k), eps, condition,
+    weights (columns, m, k)), then the error text of the nodes that failed
+    for good (coincident nodes) and of those a larger support may mend.
+    """
+    ids, dist = _k_nearest_arrays(index, k, nodes)
+    twin = dist[:, 0] <= 0.0
+    final = {
+        int(p): str(DuplicateNodeError(p, q)) for p, q in zip(nodes[twin], ids[twin, 0])
+    }
+    nodes, ids = nodes[~twin], ids[~twin]
+    offsets = cloud.coords[nodes, None] - cloud.coords[ids]  # center minus neighbor
+    eps = spec.eps_factor * np.mean(np.sum(np.abs(offsets), axis=2), axis=1)
+    scaled = offsets / eps[:, None, None]
+    V = _basis_matrix(scaled, _basis_cached(spec.alpha, spec.r)[1])
+    E = np.exp(-0.5 * np.sum(scaled**2, axis=2))
+    B = E[..., None] * V
+    A = np.matmul(B.transpose(0, 2, 1), B)
+    cond = np.linalg.cond(A, 1)
+    cond[np.isnan(cond)] = np.inf
+    ok = cond <= spec.cond_threshold
+    retry: dict[int, str] = {}
+    for p, c in zip(nodes[~ok].tolist(), cond[~ok].tolist()):
+        detail = f"condition estimate {c:.3e} exceeds {spec.cond_threshold:.3e}"
+        retry[p] = str(IllConditionedNodeError(p, detail))
+    nodes, ids, eps, cond, V, E, A = (
+        x[ok] for x in (nodes, ids, eps, cond, V, E, A)
+    )
+    W = np.empty((rhs.shape[1],) + ids.shape)
+    ok = np.ones(nodes.size, dtype=bool)
+    # one right-hand side at a time, shaped (m, l, 1), so a shared
+    # multi-target build is bit-identical to single-target builds
+    for j, col in enumerate(rhs.T):
+        b = np.broadcast_to(col[:, None], A.shape[:2] + (1,))
+        a = np.linalg.solve(A, b)
+        for _ in range(2):  # refinement keeps the residual near round-off
+            a = a + np.linalg.solve(A, b - A @ a)
+        res = (A @ a - b)[..., 0]
+        resid = np.sqrt(np.sum(res * res, axis=1))
+        bound = _RESIDUAL_TOL * (1.0 + math.sqrt(float(col @ col)))
+        bad = ~(resid <= bound) & ok
+        for p, r in zip(nodes[bad].tolist(), resid[bad].tolist()):
+            detail = f"moment residual {r:.3e} exceeds {bound:.3e}"
+            retry[p] = str(IllConditionedNodeError(p, detail))
+        ok &= ~bad
+        W[j] = (V @ a)[..., 0] * E**2 / eps[:, None] ** spec.order
+    return (nodes[ok], ids[ok], eps[ok], cond[ok], W[:, ok]), final, retry
+
+
+def _solve_underdetermined(
+    cloud: PointCloud,
+    index: SpatialIndex,
+    spec: OperatorSpec,
+    rhs: np.ndarray,
+    k: int,
+):
+    """The whole cloud (k = n - 1 others) is smaller than the basis: one
+    minimal-norm solve per node, no regrowth. Returns the passed block as
+    _solve_block does, or None and the failures."""
+    rows, failed = [], {}
+    for p in range(cloud.n):
         try:
+            ns = k_nearest(index, p, k)
+            eps = spec.eps_factor * average_spacing(cloud, ns)
+            system = assemble_moment_system(
+                cloud, ns, spec, eps, allow_underdetermined=True
+            )
             coeffs = _solve_columns(system, rhs, spec.cond_threshold, p)
-        except IllConditionedNodeError as err:
-            # without its traceback: that holds this frame, whose locals
-            # hold the error, a cycle that keeps each failed system alive
-            last_error = err.with_traceback(None)
-            if k >= n - 1:
-                break
-            k = min(math.ceil(_GROWTH * k), n - 1)
-            continue
-        w = np.empty((system.k + 1, coeffs.shape[1]))
-        for j in range(coeffs.shape[1]):
-            w[:-1, j] = kernel_weights(system, coeffs[:, j], spec.order)
-            w[-1, j] = spec.sign * np.sum(w[:-1, j])  # fixed summation order
-        cond = system.condition_estimate() if system.k >= system.l else float("inf")
-        return np.append(neighbors.ids, p), w, eps, k, cond
-    raise last_error if last_error is not None else RuntimeError("unreachable")
+        except (IllConditionedNodeError, DuplicateNodeError) as err:
+            failed[p] = str(err)
+        else:
+            w = [kernel_weights(system, a, spec.order) for a in coeffs.T]
+            rows.append((ns.ids, eps, w))
+    if failed:
+        return None, failed
+    ids, eps, W = zip(*rows)
+    n = cloud.n
+    block = (np.arange(n), np.array(ids), np.array(eps), np.full(n, np.inf))
+    return block + (np.stack(W, axis=1),), {}
 
 
 def _build_many(
@@ -482,53 +530,66 @@ def _build_many(
     threads: int | None,
 ) -> list[StencilOperator]:
     """Build one operator per multi-index in alphas, sharing supports and
-    factorizations. All alphas must have the same order so the basis and
-    moment matrix coincide; only the right-hand sides differ."""
+    moment matrices. All alphas must have the same order so the basis and
+    moment matrix coincide; only the right-hand sides differ.
+
+    Each growth attempt is one batched pass over the pending nodes, in
+    blocks; the nodes whose support fails a gate are regrown together.
+    """
     orders = {multi_index_order(a) for a in alphas}
     if len(orders) != 1:
         raise ValueError("shared construction requires equal derivative orders")
+    _resolve_threads(threads)  # validated only: the thread count changes nothing
     basis = monomial_basis(alphas[0], spec.r)
     rhs = np.column_stack([_rhs(basis, a) for a in alphas])
     l = len(basis)
     n = cloud.n
-    k0 = min(math.ceil(spec.neighbor_factor * l), n - 1)
-    if k0 < 1:
+    k = min(math.ceil(spec.neighbor_factor * l), n - 1)
+    if k < 1:
         raise InsufficientSupportError("cloud has no neighbors to build stencils from")
 
-    results: list = [None] * n
-    failed: dict[int, str] = {}
-    # one batched tree pass covers the first attempt at every node
-    prefetch = _k_nearest_arrays(index, k0)
-
-    def run(p: int):
-        try:
-            results[p] = _build_node(cloud, index, spec, rhs, l, k0, p, prefetch)
-        except (IllConditionedNodeError, DuplicateNodeError) as err:
-            failed[p] = str(err)
-
-    nthreads = _resolve_threads(threads)
-    if nthreads == 1 or n < 64:
-        for p in range(n):
-            run(p)
+    if k < l:
+        block, failed = _solve_underdetermined(cloud, index, spec, rhs, k)
+        blocks = [block]
     else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(run, range(n), chunksize=max(1, n // (8 * nthreads))))
+        blocks, failed = [], {}
+        pending = np.arange(n)
+        for attempt in range(spec.max_growth_attempts + 1):
+            if attempt:
+                k = min(math.ceil(_GROWTH * k), n - 1)
+            retry: dict[int, str] = {}
+            for start in range(0, pending.size, _BLOCK):
+                block, final, again = _solve_block(
+                    cloud, index, spec, rhs, pending[start : start + _BLOCK], k
+                )
+                blocks.append(block)
+                failed.update(final)
+                retry.update(again)
+            pending = np.array(sorted(retry), dtype=np.intp)
+            if not retry or k >= n - 1:
+                break
+        failed.update(retry)
     if failed:
         raise OperatorBuildError(failed)
 
-    ids, w, eps, size, cond = zip(*results)
-    eps, size, cond = np.array(eps), np.array(size, dtype=np.intp), np.array(cond)
+    eps, size, cond = np.empty(n), np.empty(n, dtype=np.intp), np.empty(n)
+    for nodes, ids, e, c, _ in blocks:
+        eps[nodes], size[nodes], cond[nodes] = e, ids.shape[1], c
     for arr in (eps, size, cond):
         arr.flags.writeable = False  # shared by every operator built here
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(size + 1, out=indptr[1:])
-    indices = np.concatenate(ids)
-    data = np.concatenate(w)
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    data = np.empty((len(alphas), indptr[-1]))
+    for nodes, ids, _, _, W in blocks:
+        at = indptr[nodes, None] + np.arange(ids.shape[1] + 1)  # rows, center last
+        indices[at] = np.column_stack([ids, nodes])
+        data[:, at[:, :-1]] = W
+        # summed over contiguous rows: the same bits as np.sum of each row
+        data[:, at[:, -1]] = spec.sign * np.sum(W, axis=2)
     ops = []
     for j, alpha in enumerate(alphas):
-        matrix = csr_matrix(
-            (np.ascontiguousarray(data[:, j]), indices, indptr), shape=(n, n)
-        )
+        matrix = csr_matrix((data[j], indices, indptr), shape=(n, n))
         indices, indptr = matrix.indices, matrix.indptr  # shared with the next
         ops.append(
             StencilOperator(
@@ -559,8 +620,10 @@ def build_operator(
     max_growth_attempts times. If any node still fails, an
     OperatorBuildError listing the failing node ids is raised.
 
-    Two builds over the same cloud produce bit-identical weights, whatever
-    the thread count.
+    The build is one batched pass over all nodes per growth attempt, and
+    each node's weights do not depend on the batch it is solved in, so two
+    builds over the same cloud produce bit-identical weights. `threads` is
+    accepted and checked to be positive, but changes nothing.
     """
     if len(spec.alpha) != cloud.dim:
         raise ValueError(
@@ -582,9 +645,9 @@ def gradient_operator(
 ) -> tuple[StencilOperator, ...]:
     """Build all d first-partial operators in one pass.
 
-    The component operators share supports, moment matrices, and
-    factorizations; only the right-hand sides differ. The result equals d
-    independent build_operator calls.
+    The component operators share supports and moment matrices; only the
+    right-hand sides differ. The result equals d independent build_operator
+    calls.
     """
     d = cloud.dim
     alphas = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
@@ -637,8 +700,8 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     # check would run, and the blocks bound the temporary memory
     for k in np.unique(counts):
         same = np.flatnonzero(counts == k)
-        for b in range(0, same.size, _VERIFY_BLOCK):
-            nodes = same[b : b + _VERIFY_BLOCK]
+        for b in range(0, same.size, _BLOCK):
+            nodes = same[b : b + _BLOCK]
             at = starts[nodes, None] + np.arange(k)  # (nodes, k) stencil entries
             eps = op.eps[nodes, None]
             v = (cloud.coords[nodes, None] - cloud.coords[ids[at]]) / eps[..., None]

@@ -175,19 +175,25 @@ class TestKNearest:
 
     @pytest.mark.parametrize("k", [1, 5, 12])
     def test_bulk_arrays_match_per_node_queries(self, k):
-        # tie-rich lattice and a jittered cloud must give byte-equal results
+        # tie-rich 2-d and 3-d lattices and a jittered cloud must give
+        # byte-equal results, for every node and for a subset of nodes
         axis = np.arange(6.0)
         xg, yg = np.meshgrid(axis, axis, indexing="ij")
         lattice = PointCloud(np.column_stack([xg.ravel(), yg.ravel()]))
-        for cloud in (lattice, jittered_cloud(2, 7, seed=3)):
+        axis3 = np.arange(4.0)
+        grids = np.meshgrid(axis3, axis3, axis3, indexing="ij")
+        lattice3 = PointCloud(np.column_stack([g.ravel() for g in grids]))
+        for cloud in (lattice, lattice3, jittered_cloud(2, 7, seed=3)):
             index = build_index(cloud)
-            bulk = _k_nearest_arrays(index, k)
-            assert len(bulk) == cloud.n
-            for p in range(cloud.n):
-                ns = k_nearest(index, p, k)
-                ids, dist = bulk[p]
-                assert np.array_equal(ns.ids, ids)
-                assert np.array_equal(ns.distances, dist)
+            subset = np.arange(cloud.n)[::-3]
+            for nodes in (None, subset):
+                ids, dist = _k_nearest_arrays(index, k, nodes)
+                centers = range(cloud.n) if nodes is None else subset
+                assert ids.shape == dist.shape == (len(centers), k)
+                for row, p in enumerate(centers):
+                    ns = k_nearest(index, int(p), k)
+                    assert np.array_equal(ns.ids, ids[row])
+                    assert np.array_equal(ns.distances, dist[row])
 
 
 class TestRadiusNeighbors:

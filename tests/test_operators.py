@@ -1,6 +1,7 @@
 """Derivative stencil construction: basis, moment systems, solving, apply."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpse import (
+    DuplicateNodeError,
+    IllConditionedNodeError,
     InsufficientSupportError,
     OperatorBuildError,
     OperatorSpec,
     PointCloud,
     apply,
     assemble_moment_system,
+    average_spacing,
     build_index,
     build_operator,
     generate_nodes,
@@ -24,7 +28,7 @@ from dcpse import (
     solve_kernel_coefficients,
     verify_moments,
 )
-from dcpse.operators import kernel_weights, multi_index_order
+from dcpse.operators import _rhs, _solve_block, kernel_weights, multi_index_order
 from conftest import full_poly, jittered_cloud, poly_derivative, poly_eval
 
 
@@ -301,6 +305,58 @@ class TestBuildOperator:
         assert len(err.value.failed_nodes) == cloud.n
         assert "node" in str(err.value)
 
+    def test_duplicate_node_fails_with_its_own_message(self):
+        cloud = jittered_cloud(2, 8, seed=4)
+        twin = PointCloud(np.vstack([cloud.coords, cloud.coords[20]]))
+        with pytest.warns(UserWarning, match="coincident"):
+            index = build_index(twin)
+        with pytest.raises(OperatorBuildError) as err:
+            build_operator(twin, index, OperatorSpec(alpha=(1, 0)))
+        assert err.value.failed_nodes == {
+            20: str(DuplicateNodeError(20, 64)),
+            64: str(DuplicateNodeError(64, 20)),
+        }
+
+    def test_cloud_smaller_than_basis_passes_or_reports_each_node(self):
+        # 3 nodes and l = 3 basis monomials: every support is the rest of
+        # the cloud (k = 2 < l) and gets its minimal-norm solve
+        def per_node(cloud, index, spec, p):
+            ns = k_nearest(index, p, 2)
+            eps = average_spacing(cloud, ns)
+            system = assemble_moment_system(
+                cloud, ns, spec, eps, allow_underdetermined=True
+            )
+            coeffs = solve_kernel_coefficients(system, node=p)
+            return ns.ids, eps, kernel_weights(system, coeffs, spec.order)
+
+        # on a line along x, d/dx at r = 1 has a consistent system everywhere
+        cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
+        index = build_index(cloud)
+        spec = OperatorSpec(alpha=(1, 0), r=1)
+        op = build_operator(cloud, index, spec)
+        assert op.support_size.tolist() == [2, 2, 2]
+        assert np.all(op.condition == np.inf)
+        got = op.apply(2.0 * cloud.coords[:, 0] + 3.0)
+        assert np.max(np.abs(got - 2.0)) < 1e-12
+        for p in range(cloud.n):
+            ids, eps, w = per_node(cloud, index, spec, p)
+            assert np.array_equal(op.neighbor_ids[p], ids)
+            assert op.eps[p] == eps
+            assert np.array_equal(op.weights[p], w)
+
+        # in 1-d at r = 2, only the symmetric middle node is consistent
+        h = 0.1
+        cloud = PointCloud(np.array([[-h], [0.0], [h]]))
+        index = build_index(cloud)
+        spec = OperatorSpec(alpha=(1,))
+        with pytest.raises(OperatorBuildError) as err:
+            build_operator(cloud, index, spec)
+        assert sorted(err.value.failed_nodes) == [0, 2]
+        for p, message in err.value.failed_nodes.items():
+            with pytest.raises(IllConditionedNodeError) as want:
+                per_node(cloud, index, spec, p)
+            assert message == str(want.value)
+
     def test_tiny_cond_threshold_exhausts_growth(self, indexed2d):
         cloud, index = indexed2d
         spec = OperatorSpec(alpha=(1, 0), cond_threshold=1.5)
@@ -393,16 +449,17 @@ def _moment_deviation_per_node(op, cloud):
     return out
 
 
-class TestVerifyMoments:
-    @pytest.fixture(scope="class")
-    def cantilever(self):
-        # 525 nodes; the regrown ones have longer rows than the rest
-        cloud = generate_nodes("cantilever", 0)
-        ops = gradient_operator(cloud, build_index(cloud))
-        sizes, counts = np.unique(ops[0].support_size, return_counts=True)
-        assert sizes.tolist() == [20, 30] and counts.tolist() == [438, 87]
-        return cloud, ops
+@pytest.fixture(scope="module")
+def cantilever():
+    # 525 nodes; the regrown ones have longer rows than the rest
+    cloud = generate_nodes("cantilever", 0)
+    ops = gradient_operator(cloud, build_index(cloud))
+    sizes, counts = np.unique(ops[0].support_size, return_counts=True)
+    assert sizes.tolist() == [20, 30] and counts.tolist() == [438, 87]
+    return cloud, ops
 
+
+class TestVerifyMoments:
     def test_matches_per_node_loop(self, cantilever):
         cloud, ops = cantilever
         for op in ops:
@@ -438,6 +495,138 @@ class TestVerifyMoments:
                 got = verify_moments(perturbed, cloud)
                 assert np.flatnonzero(got != base).tolist() == [node]
                 assert got[node] > base[node] + 1e-10
+
+
+def _per_node_stencil(cloud, index, spec, p):
+    """One node's stencil through the public per-node API, growing the
+    support on ill-conditioning the way build_operator does."""
+    l = len(monomial_basis(spec.alpha, spec.r))
+    k = min(math.ceil(spec.neighbor_factor * l), cloud.n - 1)
+    for _ in range(spec.max_growth_attempts + 1):
+        ns = k_nearest(index, p, k)
+        eps = spec.eps_factor * average_spacing(cloud, ns)
+        system = assemble_moment_system(cloud, ns, spec, eps)
+        try:
+            coeffs = solve_kernel_coefficients(
+                system, cond_threshold=spec.cond_threshold, node=p
+            )
+        except IllConditionedNodeError:
+            k = min(math.ceil(1.5 * k), cloud.n - 1)
+            continue
+        return ns.ids, eps, kernel_weights(system, coeffs, spec.order)
+    raise AssertionError(f"node {p} did not build")
+
+
+def _grid_boundary(shape):
+    """Node ids on the faces of a tensor-product grid, flattened in C order."""
+    idx = np.indices(shape).reshape(len(shape), -1)
+    return np.flatnonzero(np.any((idx == 0) | (idx == np.array(shape)[:, None] - 1), axis=0))
+
+
+def _gradient_rhs(dim):
+    alphas = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    basis = monomial_basis(alphas[0], 2)
+    return OperatorSpec(alpha=alphas[0]), np.column_stack([_rhs(basis, a) for a in alphas])
+
+
+class TestBatchedEngine:
+    """The stacked build gives each node the bits it would get alone, and
+    the numbers the public per-node API gives."""
+
+    def _assert_rows_match(self, ops, block, nodes):
+        got_nodes, ids, eps, cond, W = block
+        assert got_nodes.tolist() == list(nodes)
+        for i, p in enumerate(got_nodes):
+            assert np.array_equal(ids[i], ops[0].neighbor_ids[p])
+            assert eps[i] == ops[0].eps[p]
+            assert cond[i] == ops[0].condition[p]
+            for j, op in enumerate(ops):
+                assert np.array_equal(W[j, i], op.weights[p])
+
+    def test_node_bits_do_not_depend_on_batch(self, cantilever):
+        cloud, ops = cantilever
+        index = build_index(cloud)
+        spec, rhs = _gradient_rhs(3)
+        size = ops[0].support_size
+        regrown = np.flatnonzero(size == 30)
+        first = np.flatnonzero(size == 20)
+        sample = np.random.default_rng(0).choice(first, 20, replace=False)
+        # a batch of one, for first-attempt and regrown nodes alike
+        for p in np.concatenate([sample, regrown[::4]]):
+            block, final, retry = _solve_block(
+                cloud, index, spec, rhs, np.array([p]), int(size[p])
+            )
+            assert not final and not retry
+            self._assert_rows_match(ops, block, [p])
+        # inside a 512-node block of another make-up than the full build's
+        others = np.setdiff1d(first, sample)
+        mixed = np.random.default_rng(1).permutation(
+            np.concatenate([sample, others[: 512 - sample.size]])
+        )
+        block, final, retry = _solve_block(cloud, index, spec, rhs, mixed, 20)
+        assert not final and not retry
+        self._assert_rows_match(ops, block, mixed)
+        # the regrown nodes: together they fail at k0 and pass at k = 30
+        block, final, retry = _solve_block(cloud, index, spec, rhs, regrown, 20)
+        assert not final and sorted(retry) == regrown.tolist()
+        block, final, retry = _solve_block(cloud, index, spec, rhs, regrown, 30)
+        assert not final and not retry
+        self._assert_rows_match(ops, block, regrown)
+
+    @pytest.mark.parametrize("problem,level,kind,shape", [
+        ("plate", 2, "jittered", (33, 33)),
+        ("cantilever", 0, "structured", (5, 5, 21)),
+    ])
+    def test_matches_per_node_api(self, problem, level, kind, shape):
+        cloud = generate_nodes(problem, level, kind)
+        index = build_index(cloud)
+        ops = gradient_operator(cloud, index)
+        size = ops[0].support_size
+        rng = np.random.default_rng(2)
+        boundary = _grid_boundary(shape)
+        interior = np.setdiff1d(np.arange(cloud.n), boundary)
+        nodes = np.concatenate([
+            np.flatnonzero(size > size.min()),
+            rng.choice(boundary, 25, replace=False),
+            rng.choice(interior, 10, replace=False),
+        ])
+        for op in ops:
+            spec = OperatorSpec(alpha=op.alpha)
+            for p in nodes:
+                ids, eps, w = _per_node_stencil(cloud, index, spec, int(p))
+                assert np.array_equal(op.neighbor_ids[p], ids)
+                assert op.support_size[p] == ids.size
+                assert op.eps[p] == eps
+                scale = np.max(np.abs(w))
+                assert np.max(np.abs(op.weights[p] - w)) <= 1e-12 * scale
+
+    # the loose gate passes every condition estimate on the clustered cloud
+    # and leaves its bad supports to the residual gate
+    @pytest.mark.parametrize(
+        "name,cond_threshold",
+        [("clustered", 1e12), ("clustered", 1e300), ("collinear", 1e12)],
+    )
+    def test_hard_cloud_builds_or_names_each_failed_node(self, name, cond_threshold):
+        if name == "clustered":
+            # 1,000 uniform nodes plus 1,000 in a box of side 1e-4
+            rng = np.random.default_rng(0)
+            wide = rng.uniform(0.0, 1.0, size=(1000, 2))
+            coords = np.vstack([wide, 0.5 + 1e-4 * rng.uniform(0.0, 1.0, size=(1000, 2))])
+        else:
+            t = np.linspace(0.0, 1.0, 30)
+            coords = np.column_stack([t, 2.0 * t])
+        cloud = PointCloud(coords)
+        try:
+            ops = gradient_operator(
+                cloud, build_index(cloud), cond_threshold=cond_threshold
+            )
+        except OperatorBuildError as err:
+            assert err.failed_nodes
+            for p, message in err.failed_nodes.items():
+                assert re.search(rf"\bnode {p}\b", message), message
+        else:
+            for op in ops:
+                assert float(np.max(verify_moments(op, cloud))) <= 1e-8
 
 
 class TestApply:
