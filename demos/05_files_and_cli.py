@@ -26,8 +26,11 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="dcpse-demo-"))
+    with tempfile.TemporaryDirectory(prefix="dcpse-demo-") as tmp:
+        demo(Path(tmp))
 
+
+def demo(workdir: Path):
     # CSV: coordinates plus any number of named nodal fields
     rng = np.random.default_rng(3)
     coords = rng.uniform(0, 1, size=(400, 2))
@@ -65,7 +68,6 @@ def main():
     doc = json.loads(report_path.read_text())
     print(f"convergence report: levels {[e['level'] for e in doc['levels']]}, "
           f"slopes {{ {', '.join(f'{k}: {v:.2f}' for k, v in doc['slopes'].items())} }}")
-    print(f"artifacts in {workdir}")
 
 
 if __name__ == "__main__":

@@ -366,7 +366,7 @@ class BenchmarkProblem:
     material: ElasticMaterial | None = None
 
     def recovered(
-        self, cloud, index, *, r=2, eps_factor=1.0, neighbor_factor=2.0, threads=None
+        self, cloud, index, *, r=2, eps_factor=1.0, neighbor_factor=2.0
     ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
         """The named fields computed by the discrete operators, plus the
         operator diagnostics."""
@@ -376,7 +376,6 @@ class BenchmarkProblem:
             r,
             eps_factor=eps_factor,
             neighbor_factor=neighbor_factor,
-            threads=threads,
         )
         values = self.input_field(cloud.coords)
         if self.material is None:
@@ -559,7 +558,6 @@ def evaluate_level(
     eps_factor: float = 1.0,
     neighbor_factor: float = 2.0,
     seed: int = 0,
-    threads: int | None = None,
 ) -> dict:
     """Run one benchmark at a single refinement level.
 
@@ -578,7 +576,6 @@ def evaluate_level(
         r=r,
         eps_factor=eps_factor,
         neighbor_factor=neighbor_factor,
-        threads=threads,
     )
     exact = problem.exact(cloud.coords)
     entry = {
@@ -616,7 +613,6 @@ def convergence_study(
     eps_factor: float = 1.0,
     neighbor_factor: float = 2.0,
     seed: int = 0,
-    threads: int | None = None,
     exclude_coarsest: bool = False,
 ) -> ConvergenceReport:
     """Run one benchmark over a refinement sweep of at least three levels.
@@ -645,7 +641,6 @@ def convergence_study(
             eps_factor=eps_factor,
             neighbor_factor=neighbor_factor,
             seed=seed,
-            threads=threads,
         )
         for level in levels
     ]

@@ -107,7 +107,7 @@ def cmd_derive(args) -> int:
         )
     spec = _operator_spec(args, alpha)
     index = build_index(cloud)
-    op = build_operator(cloud, index, spec, threads=args.threads)
+    op = build_operator(cloud, index, spec)
     _print_diagnostics(f"derive d{_alpha_suffix(alpha)}", op, cloud)
     derived = op.apply(fields[args.field])
     out_name = f"{args.field}_d{_alpha_suffix(alpha)}"
@@ -135,9 +135,7 @@ def cmd_recover(args) -> int:
         raise _CliError(str(err), _EXIT_USAGE) from None
     displacement = np.column_stack([fields[name] for name in wanted])
     index = build_index(cloud)
-    result = recover(
-        cloud, index, displacement, material, r=args.r, threads=args.threads
-    )
+    result = recover(cloud, index, displacement, material, r=args.r)
     print(
         f"recover: nodes={cloud.n} dim={cloud.dim} "
         f"vm_max={float(np.max(result.von_mises)):.6e}",
@@ -190,7 +188,6 @@ def cmd_benchmark(args) -> int:
         eps_factor=args.eps_factor,
         neighbor_factor=args.neighbor_factor,
         seed=args.seed,
-        threads=args.threads,
     )
     _print_level_entry(problem.name, entry)
     doc = {
@@ -236,7 +233,6 @@ def cmd_convergence(args) -> int:
         eps_factor=args.eps_factor,
         neighbor_factor=args.neighbor_factor,
         seed=args.seed,
-        threads=args.threads,
         exclude_coarsest=args.exclude_coarsest,
     )
     for entry in report.levels:
@@ -259,13 +255,6 @@ def _add_operator_args(parser):
         type=float,
         default=2.0,
         help="support size as a multiple of the basis size",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for compatibility and checked to be positive; the "
-        "build is one batched pass, so the count changes nothing",
     )
 
 

@@ -129,21 +129,12 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud=cloud, tree=tree)
 
 
-def _by_distance(coords: np.ndarray, center: int, candidates):
-    """Candidate ids other than the center and their distances to it, sorted
-    by (distance, id), the order a brute-force scan gives."""
-    cand = np.asarray(candidates, dtype=np.intp)
-    cand = cand[cand != center]
-    d = np.sqrt(np.sum((coords[cand] - coords[center]) ** 2, axis=1))
-    order = np.lexsort((cand, d))
-    return cand[order], d[order]
-
-
 def k_nearest(index: SpatialIndex, center: int, k: int) -> NeighborSet:
     """Return the k nearest neighbors of node `center`, excluding itself.
 
     The result is identical to a brute-force distance scan: sorted by
-    distance, ties broken by ascending node id.
+    distance, ties broken by ascending node id. It is one row of the batched
+    query the operator builder runs.
 
     Parameters
     ----------
@@ -153,26 +144,13 @@ def k_nearest(index: SpatialIndex, center: int, k: int) -> NeighborSet:
     k : int
         Number of neighbors, 1 <= k <= n-1.
     """
-    cloud = index.cloud
-    n = cloud.n
     center = int(center)
-    if not 0 <= center < n:
-        raise IndexError(f"center id {center} out of range for cloud of {n} nodes")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > n - 1:
-        raise InsufficientNodesError(
-            f"requested {k} neighbors but cloud has only {n - 1} other nodes"
+    if not 0 <= center < index.cloud.n:
+        raise IndexError(
+            f"center id {center} out of range for cloud of {index.cloud.n} nodes"
         )
-    x = cloud.coords[center]
-    # k+1 accounts for the center itself appearing at distance 0.
-    dist, _ = index.tree.query(x, k=k + 1)
-    cutoff = dist[-1]
-    # Inflated ball captures every node tied with the k-th distance so the
-    # (distance, id) sort reproduces the brute-force order exactly.
-    candidates = index.tree.query_ball_point(x, r=cutoff * (1.0 + 1e-12) + 1e-300)
-    ids, d = _by_distance(cloud.coords, center, candidates)
-    return NeighborSet(node=center, ids=ids[:k], distances=d[:k])
+    ids, dist = _k_nearest_arrays(index, k, [center])
+    return NeighborSet(node=center, ids=ids[0], distances=dist[0])
 
 
 def _k_nearest_arrays(
@@ -181,12 +159,12 @@ def _k_nearest_arrays(
     """(ids, distances) of the k nearest neighbors of many nodes at once.
 
     Returns two (m, k) arrays, one row per entry of `nodes` (every node of
-    the cloud by default). One batched tree pass replaces m `k_nearest`
-    calls: the inflated-ball candidates are padded into one 2-d array and
-    sorted row by row by (distance, id) with the same distance formula, so
-    each row matches `k_nearest` element for element. Duplicate detection
-    is left to the caller (a zero first distance), keeping per-node failure
-    semantics.
+    the cloud by default). One batched tree pass: the k + 1 nearest give a
+    cutoff, an inflated ball around it catches every node tied with the
+    k-th distance, and the candidates, padded into one 2-d array, are sorted
+    row by row by (distance, id), the order a brute-force scan gives.
+    Duplicate detection is left to the caller (a zero first distance),
+    keeping per-node failure semantics.
     """
     cloud = index.cloud
     n = cloud.n
@@ -212,28 +190,6 @@ def _k_nearest_arrays(
     d[cand == nodes[:, None]] = np.inf
     order = np.lexsort((cand, d))[:, :k]
     return np.take_along_axis(cand, order, 1), np.take_along_axis(d, order, 1)
-
-
-def radius_neighbors(index: SpatialIndex, center: int, radius: float) -> NeighborSet:
-    """Return all neighbors of node `center` within `radius` (inclusive).
-
-    Same ordering and tie-break contract as `k_nearest`; the center itself
-    is excluded.
-    """
-    cloud = index.cloud
-    center = int(center)
-    if not 0 <= center < cloud.n:
-        raise IndexError(
-            f"center id {center} out of range for cloud of {cloud.n} nodes"
-        )
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    candidates = index.tree.query_ball_point(
-        cloud.coords[center], r=radius * (1.0 + 1e-12)
-    )
-    ids, d = _by_distance(cloud.coords, center, candidates)
-    inside = np.searchsorted(d, radius, side="right")
-    return NeighborSet(node=center, ids=ids[:inside], distances=d[:inside])
 
 
 def average_spacing(cloud: PointCloud, neighbors: NeighborSet) -> float:

@@ -130,7 +130,6 @@ def displacement_gradient(
     *,
     r: int = 2,
     operators: tuple[StencilOperator, ...] | None = None,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Nodal displacement gradient G[p, i, j] = d u_i / d x_j.
 
@@ -144,7 +143,7 @@ def displacement_gradient(
             f"expected displacement of shape ({cloud.n}, {d}), got {u.shape}"
         )
     if operators is None:
-        operators = gradient_operator(cloud, index, r, threads=threads)
+        operators = gradient_operator(cloud, index, r)
     if len(operators) != d:
         raise ValueError(f"need {d} partial operators, got {len(operators)}")
     grad = np.empty((cloud.n, d, d))
@@ -262,7 +261,6 @@ def recover(
     *,
     r: int = 2,
     operators: tuple[StencilOperator, ...] | None = None,
-    threads: int | None = None,
 ) -> RecoveredFields:
     """Recover strain, stress, von Mises, and principal stresses from
     nodal displacements.
@@ -272,9 +270,7 @@ def recover(
     3-d embedding used for the deviatoric quantities. `principal` contains
     the in-plane principal pair in 2-d.
     """
-    grad = displacement_gradient(
-        cloud, index, displacement, r=r, operators=operators, threads=threads
-    )
+    grad = displacement_gradient(cloud, index, displacement, r=r, operators=operators)
     strain = strain_from_gradient(grad)
     stress = stress_from_strain(strain, material)
     if cloud.dim == 2:

@@ -24,12 +24,9 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrs
 from scipy.sparse import csr_matrix
 
 from .cloud import (
@@ -38,8 +35,6 @@ from .cloud import (
     PointCloud,
     SpatialIndex,
     _k_nearest_arrays,
-    average_spacing,
-    k_nearest,
 )
 
 _RESIDUAL_TOL = 1e-10
@@ -222,17 +217,6 @@ class MomentSystem:
     def l(self) -> int:
         return self.V.shape[1]
 
-    def condition_estimate(self) -> float:
-        """1-norm condition estimate of A; inf if numerically singular."""
-        cached = self.__dict__.get("_cond")
-        if cached is None:
-            try:
-                cached = float(np.linalg.cond(self.A, 1))
-            except np.linalg.LinAlgError:
-                cached = float("inf")
-            object.__setattr__(self, "_cond", cached)
-        return cached
-
 
 def _basis_matrix(scaled: np.ndarray, basis_arr: np.ndarray) -> np.ndarray:
     # scaled: (..., k, d), basis_arr: (l, d) -> V: (..., k, l); 0**0 == 1
@@ -251,6 +235,87 @@ def _rhs(basis: list[tuple[int, ...]], alpha: tuple[int, ...]) -> np.ndarray:
     return b
 
 
+# The three stages below are the only numeric path: the builder runs them on
+# blocks of nodes, the per-node API on a batch of one. Every node's numbers
+# come from its own slice of each stacked operation, so they do not depend on
+# the batch.
+
+
+def _assemble(offsets: np.ndarray, eps: np.ndarray, basis_arr: np.ndarray):
+    """Stacked moment matrices from center-minus-neighbor offsets (m, k, d)
+    and kernel widths (m,): returns scaled offsets, V (m, k, l), E (m, k)
+    and A = B^T B (m, l, l)."""
+    scaled = offsets / eps[:, None, None]
+    V = _basis_matrix(scaled, basis_arr)
+    E = np.exp(-0.5 * np.sum(scaled**2, axis=2))
+    B = E[..., None] * V
+    return scaled, V, E, np.matmul(B.transpose(0, 2, 1), B)
+
+
+def _solve(
+    V: np.ndarray, E: np.ndarray, A: np.ndarray, rhs: np.ndarray, cond_threshold: float
+):
+    """Solve A a = b at every node of a stack, for each column b of rhs (l, c).
+
+    For k >= l the 1-norm condition estimate must be finite and at most
+    cond_threshold, and the passing systems are solved by LU. For k < l
+    (the whole cloud is smaller than the basis) there is no gate and the
+    minimal-norm solution comes from the SVD of B. Either way two
+    refinement steps follow and |A a - b| <= 1e-10 (1 + |b|) is enforced
+    per column. Returns the condition estimates (m,), inf for k < l, the
+    coefficients (c, m, l, 1), and the failure detail of each failed row.
+    """
+    m, k, l = V.shape
+    why: dict[int, str] = {}
+    if k >= l:
+        cond = np.linalg.cond(A, 1)
+        cond[np.isnan(cond)] = np.inf
+        live = np.isfinite(cond) & (cond <= cond_threshold)
+        for i in np.flatnonzero(~live).tolist():
+            why[i] = (
+                f"condition estimate {cond[i]:.3e} exceeds {cond_threshold:.3e}"
+                if np.isfinite(cond[i])
+                else "moment matrix is numerically singular"
+            )
+        solve = functools.partial(np.linalg.solve, A[live])
+    else:
+        cond = np.full(m, np.inf)
+        _, s, vt = np.linalg.svd(E[..., None] * V, full_matrices=False)
+        keep = s > np.where(s[:, :1] > 0, s[:, :1] * 1e-13, np.inf)
+        live = keep[:, 0]
+        for i in np.flatnonzero(~live).tolist():
+            why[i] = "moment matrix is numerically zero"
+        inv_s2 = np.divide(1.0, s**2, out=np.zeros_like(s), where=keep)
+        pinv = np.matmul(vt.transpose(0, 2, 1) * inv_s2[:, None, :], vt)
+        solve = functools.partial(np.matmul, pinv[live])  # A^+ = V S^-2 V^T
+    A = A[live]
+    coeffs = np.full((rhs.shape[1], m, l, 1), np.nan)
+    ok = np.ones(A.shape[0], dtype=bool)
+    rows = np.flatnonzero(live)
+    # one right-hand side at a time, shaped (m, l, 1), so a shared
+    # multi-target build is bit-identical to single-target builds
+    for j, col in enumerate(rhs.T):
+        b = np.broadcast_to(col[:, None], A.shape[:2] + (1,))
+        a = solve(b)
+        for _ in range(2):  # refinement keeps the residual near round-off
+            a = a + solve(b - A @ a)
+        res = (A @ a - b)[..., 0]
+        resid = np.sqrt(np.sum(res * res, axis=1))
+        bound = _RESIDUAL_TOL * (1.0 + math.sqrt(float(col @ col)))
+        bad = ~(resid <= bound) & ok
+        for i, r in zip(rows[bad].tolist(), resid[bad].tolist()):
+            why[i] = f"moment residual {r:.3e} exceeds {bound:.3e}"
+        ok &= ~bad
+        coeffs[j, live] = a
+    return cond, coeffs, why
+
+
+def _fold(V: np.ndarray, E: np.ndarray, eps: np.ndarray, a: np.ndarray, order: int):
+    """Per-neighbor weights eps^-|alpha| p(v) a W(v), (m, k), from one
+    column of coefficients a (m, l, 1)."""
+    return (V @ a)[..., 0] * E**2 / eps[:, None] ** order
+
+
 def assemble_moment_system(
     cloud: PointCloud,
     neighbors: NeighborSet,
@@ -261,10 +326,12 @@ def assemble_moment_system(
 ) -> MomentSystem:
     """Assemble the moment system of D^alpha at one node.
 
-    Raises InsufficientSupportError when the support has fewer nodes than
-    basis monomials, unless allow_underdetermined is set (the builder uses
-    that once the support already spans the whole cloud, accepting the
-    minimal-norm solution iff its residual passes).
+    The builder's assembly stage on a batch of one, so the arrays are the
+    bits the builder uses at this node. Raises InsufficientSupportError
+    when the support has fewer nodes than basis monomials, unless
+    allow_underdetermined is set (the builder accepts such a support only
+    once it spans the whole cloud, and then the minimal-norm solution iff
+    its residual passes).
     """
     if not eps > 0:
         raise ValueError(f"kernel width eps must be positive, got {eps}")
@@ -282,78 +349,13 @@ def assemble_moment_system(
             f"{l} basis moments"
         )
     offsets = cloud.coords[neighbors.node] - cloud.coords[neighbors.ids]
-    scaled = offsets / eps
-    V = _basis_matrix(scaled, basis_arr)
-    E = np.exp(-0.5 * np.sum(scaled**2, axis=1))
-    B = E[:, None] * V
-    A = B.T @ B
+    scaled, V, E, A = (
+        x[0] for x in _assemble(offsets[None], np.array([float(eps)]), basis_arr)
+    )
     b = _rhs(basis, spec.alpha)
     return MomentSystem(
         basis=basis, scaled_offsets=scaled, V=V, E=E, A=A, b=b, eps=float(eps)
     )
-
-
-def _solve_columns(
-    system: MomentSystem,
-    rhs: np.ndarray,
-    cond_threshold: float,
-    node: int | None,
-) -> np.ndarray:
-    """Solve A a = b for each column of rhs with a shared factorization.
-
-    Square-rank systems (k >= l) are gated on the condition estimate and
-    solved by Cholesky; rank-deficient or underdetermined ones fall back to
-    an orthogonal-factorization least-squares solve on B. Either way the
-    residual |A a - b| <= 1e-10 (1 + |b|) is enforced per column.
-    """
-    A, B = system.A, system.E[:, None] * system.V
-    underdetermined = system.k < system.l
-    if not underdetermined:
-        cond = system.condition_estimate()
-        if not cond <= cond_threshold:
-            raise IllConditionedNodeError(
-                node, f"condition estimate {cond:.3e} exceeds {cond_threshold:.3e}"
-            )
-    solve = None
-    if not underdetermined:
-        try:
-            factor, _ = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-
-            def solve(col):
-                # potrs directly: cho_solve minus its per-call checks, which
-                # dominate at the small sizes solved here
-                return dpotrs(factor, col, lower=1)[0]
-
-        except scipy.linalg.LinAlgError:
-            solve = None
-    if solve is None:
-        _, s, vt = np.linalg.svd(B, full_matrices=False)
-        keep = s > (s[0] * 1e-13 if s.size and s[0] > 0 else np.inf)
-        if not np.any(keep):
-            raise IllConditionedNodeError(node, "moment matrix is numerically zero")
-        s, vt = s[keep], vt[keep]
-        pinv = (vt.T / s**2) @ vt  # pseudo-inverse of A = V S^2 V^T
-
-        def solve(col):
-            return pinv @ col
-
-    # Columns are solved one at a time so that shared multi-target builds
-    # are bit-identical to independent single-target builds.
-    sol = np.empty_like(rhs)
-    for j in range(rhs.shape[1]):
-        col = rhs[:, j]
-        a = solve(col)
-        for _ in range(2):  # refinement keeps the residual near round-off
-            a = a + solve(col - A @ a)
-        res = A @ a - col
-        resid = math.sqrt(float(res @ res))
-        bound = _RESIDUAL_TOL * (1.0 + math.sqrt(float(col @ col)))
-        if not resid <= bound:
-            raise IllConditionedNodeError(
-                node, f"moment residual {resid:.3e} exceeds {bound:.3e}"
-            )
-        sol[:, j] = a
-    return sol
 
 
 def solve_kernel_coefficients(
@@ -362,14 +364,24 @@ def solve_kernel_coefficients(
     cond_threshold: float = 1e12,
     node: int | None = None,
 ) -> np.ndarray:
-    """Solve the moment system for the kernel coefficient vector a."""
-    return _solve_columns(system, system.b[:, None], cond_threshold, node)[:, 0]
+    """Solve the moment system for the kernel coefficient vector a.
+
+    The builder's solve stage on a batch of one: the same gates, the same
+    solver and the same bits. Raises IllConditionedNodeError naming `node`
+    when a gate fails.
+    """
+    V, E, A = (x[None] for x in (system.V, system.E, system.A))
+    _, coeffs, why = _solve(V, E, A, system.b[:, None], cond_threshold)
+    if why:
+        raise IllConditionedNodeError(node, why[0])
+    return coeffs[0, 0, :, 0]
 
 
 def kernel_weights(system: MomentSystem, coeffs: np.ndarray, order: int) -> np.ndarray:
-    """Fold coefficients into per-neighbor weights eps^-|alpha| p(v) a W(v)."""
-    phi = (system.V @ coeffs) * system.E**2
-    return phi / system.eps**order
+    """Fold coefficients into per-neighbor weights eps^-|alpha| p(v) a W(v),
+    with the builder's weight fold on a batch of one."""
+    a = np.ascontiguousarray(coeffs, dtype=np.float64).reshape(1, -1, 1)
+    return _fold(system.V[None], system.E[None], np.array([system.eps]), a, order)[0]
 
 
 @dataclass(frozen=True)
@@ -418,11 +430,9 @@ class StencilOperator:
 
 
 def _resolve_threads(threads: int | None) -> int:
-    """The requested thread count, checked to be positive. The build is one
-    batched pass, so the count changes nothing; it is kept as a checked
-    setting for callers that pass it."""
-    if threads is None:
-        threads = int(os.environ.get("DCPSE_THREADS", "").strip() or 1)
+    """The requested thread count, 1 by default, checked to be positive. The
+    build is one batched pass, so the count changes nothing."""
+    threads = 1 if threads is None else threads
     if threads < 1:
         raise ValueError(f"thread count must be positive, got {threads}")
     return threads
@@ -438,10 +448,8 @@ def _solve_block(
 ):
     """One growth attempt at support size k over a block of nodes.
 
-    Runs the whole chain as stacked array passes: kNN, spacing, moment
-    assembly, the condition gate, the solve with two refinement steps, the
-    residual gate and the weight fold. Every node's numbers come from its own
-    slice of each stacked operation, so they do not depend on the block.
+    Runs kNN and the spacing, then the three stages (assembly, solve with
+    its gates, weight fold), each as one stacked pass over the block.
     Returns the nodes that passed as (nodes, ids (m, k), eps, condition,
     weights (columns, m, k)), then the error text of the nodes that failed
     for good (coincident nodes) and of those a larger support may mend.
@@ -454,72 +462,15 @@ def _solve_block(
     nodes, ids = nodes[~twin], ids[~twin]
     offsets = cloud.coords[nodes, None] - cloud.coords[ids]  # center minus neighbor
     eps = spec.eps_factor * np.mean(np.sum(np.abs(offsets), axis=2), axis=1)
-    scaled = offsets / eps[:, None, None]
-    V = _basis_matrix(scaled, _basis_cached(spec.alpha, spec.r)[1])
-    E = np.exp(-0.5 * np.sum(scaled**2, axis=2))
-    B = E[..., None] * V
-    A = np.matmul(B.transpose(0, 2, 1), B)
-    cond = np.linalg.cond(A, 1)
-    cond[np.isnan(cond)] = np.inf
-    ok = cond <= spec.cond_threshold
-    retry: dict[int, str] = {}
-    for p, c in zip(nodes[~ok].tolist(), cond[~ok].tolist()):
-        detail = f"condition estimate {c:.3e} exceeds {spec.cond_threshold:.3e}"
-        retry[p] = str(IllConditionedNodeError(p, detail))
-    nodes, ids, eps, cond, V, E, A = (
-        x[ok] for x in (nodes, ids, eps, cond, V, E, A)
-    )
-    W = np.empty((rhs.shape[1],) + ids.shape)
+    _, V, E, A = _assemble(offsets, eps, _basis_cached(spec.alpha, spec.r)[1])
+    cond, coeffs, why = _solve(V, E, A, rhs, spec.cond_threshold)
+    rows = nodes.tolist()
+    retry = {rows[i]: str(IllConditionedNodeError(rows[i], w)) for i, w in why.items()}
     ok = np.ones(nodes.size, dtype=bool)
-    # one right-hand side at a time, shaped (m, l, 1), so a shared
-    # multi-target build is bit-identical to single-target builds
-    for j, col in enumerate(rhs.T):
-        b = np.broadcast_to(col[:, None], A.shape[:2] + (1,))
-        a = np.linalg.solve(A, b)
-        for _ in range(2):  # refinement keeps the residual near round-off
-            a = a + np.linalg.solve(A, b - A @ a)
-        res = (A @ a - b)[..., 0]
-        resid = np.sqrt(np.sum(res * res, axis=1))
-        bound = _RESIDUAL_TOL * (1.0 + math.sqrt(float(col @ col)))
-        bad = ~(resid <= bound) & ok
-        for p, r in zip(nodes[bad].tolist(), resid[bad].tolist()):
-            detail = f"moment residual {r:.3e} exceeds {bound:.3e}"
-            retry[p] = str(IllConditionedNodeError(p, detail))
-        ok &= ~bad
-        W[j] = (V @ a)[..., 0] * E**2 / eps[:, None] ** spec.order
-    return (nodes[ok], ids[ok], eps[ok], cond[ok], W[:, ok]), final, retry
-
-
-def _solve_underdetermined(
-    cloud: PointCloud,
-    index: SpatialIndex,
-    spec: OperatorSpec,
-    rhs: np.ndarray,
-    k: int,
-):
-    """The whole cloud (k = n - 1 others) is smaller than the basis: one
-    minimal-norm solve per node, no regrowth. Returns the passed block as
-    _solve_block does, or None and the failures."""
-    rows, failed = [], {}
-    for p in range(cloud.n):
-        try:
-            ns = k_nearest(index, p, k)
-            eps = spec.eps_factor * average_spacing(cloud, ns)
-            system = assemble_moment_system(
-                cloud, ns, spec, eps, allow_underdetermined=True
-            )
-            coeffs = _solve_columns(system, rhs, spec.cond_threshold, p)
-        except (IllConditionedNodeError, DuplicateNodeError) as err:
-            failed[p] = str(err)
-        else:
-            w = [kernel_weights(system, a, spec.order) for a in coeffs.T]
-            rows.append((ns.ids, eps, w))
-    if failed:
-        return None, failed
-    ids, eps, W = zip(*rows)
-    n = cloud.n
-    block = (np.arange(n), np.array(ids), np.array(eps), np.full(n, np.inf))
-    return block + (np.stack(W, axis=1),), {}
+    ok[list(why)] = False
+    nodes, ids, eps, cond, V, E = (x[ok] for x in (nodes, ids, eps, cond, V, E))
+    W = np.stack([_fold(V, E, eps, a[ok], spec.order) for a in coeffs])
+    return (nodes, ids, eps, cond, W), final, retry
 
 
 def _build_many(
@@ -527,7 +478,6 @@ def _build_many(
     index: SpatialIndex,
     alphas: list[tuple[int, ...]],
     spec: OperatorSpec,
-    threads: int | None,
 ) -> list[StencilOperator]:
     """Build one operator per multi-index in alphas, sharing supports and
     moment matrices. All alphas must have the same order so the basis and
@@ -535,11 +485,12 @@ def _build_many(
 
     Each growth attempt is one batched pass over the pending nodes, in
     blocks; the nodes whose support fails a gate are regrown together.
+    Growth stops at k = n - 1, so a cloud smaller than the basis (k < l) has
+    one attempt, at its minimal-norm solve.
     """
     orders = {multi_index_order(a) for a in alphas}
     if len(orders) != 1:
         raise ValueError("shared construction requires equal derivative orders")
-    _resolve_threads(threads)  # validated only: the thread count changes nothing
     basis = monomial_basis(alphas[0], spec.r)
     rhs = np.column_stack([_rhs(basis, a) for a in alphas])
     l = len(basis)
@@ -548,27 +499,23 @@ def _build_many(
     if k < 1:
         raise InsufficientSupportError("cloud has no neighbors to build stencils from")
 
-    if k < l:
-        block, failed = _solve_underdetermined(cloud, index, spec, rhs, k)
-        blocks = [block]
-    else:
-        blocks, failed = [], {}
-        pending = np.arange(n)
-        for attempt in range(spec.max_growth_attempts + 1):
-            if attempt:
-                k = min(math.ceil(_GROWTH * k), n - 1)
-            retry: dict[int, str] = {}
-            for start in range(0, pending.size, _BLOCK):
-                block, final, again = _solve_block(
-                    cloud, index, spec, rhs, pending[start : start + _BLOCK], k
-                )
-                blocks.append(block)
-                failed.update(final)
-                retry.update(again)
-            pending = np.array(sorted(retry), dtype=np.intp)
-            if not retry or k >= n - 1:
-                break
-        failed.update(retry)
+    blocks, failed = [], {}
+    pending = np.arange(n)
+    for attempt in range(spec.max_growth_attempts + 1):
+        if attempt:
+            k = min(math.ceil(_GROWTH * k), n - 1)
+        retry: dict[int, str] = {}
+        for start in range(0, pending.size, _BLOCK):
+            block, final, again = _solve_block(
+                cloud, index, spec, rhs, pending[start : start + _BLOCK], k
+            )
+            blocks.append(block)
+            failed.update(final)
+            retry.update(again)
+        pending = np.array(sorted(retry), dtype=np.intp)
+        if not retry or k >= n - 1:
+            break
+    failed.update(retry)
     if failed:
         raise OperatorBuildError(failed)
 
@@ -610,8 +557,6 @@ def build_operator(
     cloud: PointCloud,
     index: SpatialIndex,
     spec: OperatorSpec,
-    *,
-    threads: int | None = None,
 ) -> StencilOperator:
     """Build the D^alpha stencil operator at every node of the cloud.
 
@@ -622,14 +567,15 @@ def build_operator(
 
     The build is one batched pass over all nodes per growth attempt, and
     each node's weights do not depend on the batch it is solved in, so two
-    builds over the same cloud produce bit-identical weights. `threads` is
-    accepted and checked to be positive, but changes nothing.
+    builds over the same cloud produce bit-identical weights. They are also
+    the bits the per-node API (assemble_moment_system,
+    solve_kernel_coefficients, kernel_weights) gives at that node.
     """
     if len(spec.alpha) != cloud.dim:
         raise ValueError(
             f"multi-index {spec.alpha} does not match cloud dimension {cloud.dim}"
         )
-    return _build_many(cloud, index, [spec.alpha], spec, threads)[0]
+    return _build_many(cloud, index, [spec.alpha], spec)[0]
 
 
 def gradient_operator(
@@ -647,8 +593,9 @@ def gradient_operator(
 
     The component operators share supports and moment matrices; only the
     right-hand sides differ. The result equals d independent build_operator
-    calls.
+    calls. `threads` is checked to be positive and otherwise unused.
     """
+    _resolve_threads(threads)
     d = cloud.dim
     alphas = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     spec = OperatorSpec(
@@ -659,7 +606,7 @@ def gradient_operator(
         max_growth_attempts=max_growth_attempts,
         cond_threshold=cond_threshold,
     )
-    return tuple(_build_many(cloud, index, alphas, spec, threads))
+    return tuple(_build_many(cloud, index, alphas, spec))
 
 
 def apply(op: StencilOperator, values: np.ndarray) -> np.ndarray:

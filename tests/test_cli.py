@@ -235,19 +235,10 @@ class TestDeterminism:
         assert run(args + [str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_thread_env_override(self, tmp_path, monkeypatch, capsys):
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["benchmark", "--problem", "franke", "--level", "1", "--report"]
-        monkeypatch.setenv("DCPSE_THREADS", "1")
-        assert run(args + [str(p1)]) == 0
-        monkeypatch.setenv("DCPSE_THREADS", "4")
-        assert run(args + [str(p2)]) == 0
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_derive_outputs_byte_identical(self, tmp_path, quad_csv, capsys):
         path, _ = quad_csv
         o1, o2 = tmp_path / "o1.csv", tmp_path / "o2.csv"
         base = ["derive", "--input", path, "--field", "f", "--alpha", "1,1"]
         assert run(base + ["--output", str(o1)]) == 0
-        assert run(base + ["--output", str(o2), "--threads", "3"]) == 0
+        assert run(base + ["--output", str(o2)]) == 0
         assert o1.read_bytes() == o2.read_bytes()

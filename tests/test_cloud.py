@@ -14,7 +14,6 @@ from dcpse import (
     build_index,
     k_nearest,
     normalized_spacing,
-    radius_neighbors,
 )
 from dcpse.cloud import _k_nearest_arrays
 from conftest import brute_force_neighbors, jittered_cloud
@@ -175,8 +174,8 @@ class TestKNearest:
 
     @pytest.mark.parametrize("k", [1, 5, 12])
     def test_bulk_arrays_match_per_node_queries(self, k):
-        # tie-rich 2-d and 3-d lattices and a jittered cloud must give
-        # byte-equal results, for every node and for a subset of nodes
+        # tie-rich 2-d and 3-d lattices and a jittered cloud must give the
+        # brute-force scan's bytes, for every node and for a subset of nodes
         axis = np.arange(6.0)
         xg, yg = np.meshgrid(axis, axis, indexing="ij")
         lattice = PointCloud(np.column_stack([xg.ravel(), yg.ravel()]))
@@ -191,36 +190,9 @@ class TestKNearest:
                 centers = range(cloud.n) if nodes is None else subset
                 assert ids.shape == dist.shape == (len(centers), k)
                 for row, p in enumerate(centers):
-                    ns = k_nearest(index, int(p), k)
-                    assert np.array_equal(ns.ids, ids[row])
-                    assert np.array_equal(ns.distances, dist[row])
-
-
-class TestRadiusNeighbors:
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(2)
-        coords = rng.uniform(0, 1, size=(150, 3))
-        index = build_index(PointCloud(coords))
-        for center in (0, 50, 149):
-            for radius in (0.1, 0.35, 0.9):
-                ns = radius_neighbors(index, center, radius)
-                d = np.sqrt(np.sum((coords - coords[center]) ** 2, axis=1))
-                ids = np.array(
-                    [i for i in range(150) if i != center and d[i] <= radius],
-                    dtype=int,
-                )
-                order = np.lexsort((ids, d[ids]))
-                assert np.array_equal(ns.ids, ids[order])
-
-    def test_boundary_distance_included(self):
-        coords = np.array([[0.0], [1.0], [2.0]])
-        ns = radius_neighbors(build_index(PointCloud(coords)), 0, 1.0)
-        assert ns.ids.tolist() == [1]
-
-    def test_bad_radius(self):
-        index = build_index(jittered_cloud(2, 3))
-        with pytest.raises(ValueError):
-            radius_neighbors(index, 0, 0.0)
+                    want_ids, want_dist = brute_force_neighbors(cloud.coords, int(p), k)
+                    assert np.array_equal(ids[row], want_ids)
+                    assert np.array_equal(dist[row], want_dist)
 
 
 class TestAverageSpacing:

@@ -266,15 +266,6 @@ class TestBuildOperator:
         assert _same_stencils(a, b)
         assert np.array_equal(a.eps, b.eps)
 
-    def test_thread_count_invariance(self, indexed2d):
-        cloud, index = indexed2d
-        spec = OperatorSpec(alpha=(0, 1))
-        a = build_operator(cloud, index, spec, threads=1)
-        b = build_operator(cloud, index, spec, threads=4)
-        values = franke_like(cloud)
-        assert _same_stencils(a, b)
-        assert np.array_equal(a.apply(values), b.apply(values))
-
     def test_translation_invariance_bitwise(self):
         # binary-exact grid plus integer shift: weights must be identical
         axis = np.arange(9) * 0.125
@@ -597,14 +588,18 @@ class TestBatchedEngine:
                 assert np.array_equal(op.neighbor_ids[p], ids)
                 assert op.support_size[p] == ids.size
                 assert op.eps[p] == eps
-                scale = np.max(np.abs(w))
-                assert np.max(np.abs(op.weights[p] - w)) <= 1e-12 * scale
+                assert np.array_equal(op.weights[p], w)
 
     # the loose gate passes every condition estimate on the clustered cloud
     # and leaves its bad supports to the residual gate
     @pytest.mark.parametrize(
         "name,cond_threshold",
-        [("clustered", 1e12), ("clustered", 1e300), ("collinear", 1e12)],
+        [
+            ("clustered", 1e12),
+            ("clustered", 1e300),
+            ("collinear", 1e12),
+            ("collinear", float("inf")),
+        ],
     )
     def test_hard_cloud_builds_or_names_each_failed_node(self, name, cond_threshold):
         if name == "clustered":
