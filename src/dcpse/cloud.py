@@ -160,9 +160,10 @@ def _k_nearest_arrays(
 
     Returns two (m, k) arrays, one row per entry of `nodes` (every node of
     the cloud by default). One batched tree pass: the k + 1 nearest give a
-    cutoff, an inflated ball around it catches every node tied with the
-    k-th distance, and the candidates, padded into one 2-d array, are sorted
-    row by row by (distance, id), the order a brute-force scan gives.
+    cutoff; rows whose (k+2)-th nearest is within it (ties) take an inflated
+    ball with every node at the k-th distance, the rest their k + 1 nearest.
+    The candidates, padded into one 2-d array, are sorted row by row by
+    (distance, id), the order a brute-force scan gives.
     Duplicate detection is left to the caller (a zero first distance),
     keeping per-node failure semantics.
     """
@@ -177,15 +178,17 @@ def _k_nearest_arrays(
     coords = cloud.coords
     nodes = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.intp)
     x = coords[nodes]
-    dist, _ = index.tree.query(x, k=k + 1)
-    cutoffs = dist[:, -1] * (1.0 + 1e-12) + 1e-300
-    balls = index.tree.query_ball_point(x, r=cutoffs)
-    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=nodes.size)
+    dist, near = index.tree.query(x, k=k + 2)
+    cutoffs = dist[:, k] * (1.0 + 1e-12) + 1e-300
+    tied = (dist[:, k + 1] <= cutoffs) | (k + 2 > n)
+    balls = index.tree.query_ball_point(x[tied], r=cutoffs[tied])
+    sizes = np.full(nodes.size, k + 1)
+    sizes[tied] = list(map(len, balls))
     # pad each row with its own center, which is excluded below anyway
     cand = np.repeat(nodes[:, None], sizes.max(), axis=1)
-    cand[np.arange(cand.shape[1]) < sizes[:, None]] = np.fromiter(
-        itertools.chain.from_iterable(balls), dtype=np.intp, count=int(sizes.sum())
-    )
+    cand[:, : k + 1] = np.where(tied[:, None], nodes[:, None], near[:, : k + 1])
+    fill = tied[:, None] & (np.arange(cand.shape[1]) < sizes[:, None])
+    cand[fill] = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp)
     d = np.sqrt(np.sum((coords[cand] - x[:, None]) ** 2, axis=2))
     d[cand == nodes[:, None]] = np.inf
     order = np.lexsort((cand, d))[:, :k]

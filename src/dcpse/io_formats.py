@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Mapping
 
 import numpy as np
@@ -87,7 +88,7 @@ def read_points_csv(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
                 raise ParseError(
                     path, lineno, f"column {names[j]!r}: not a number: {cell!r}"
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ParseError(
                     path, lineno, f"column {names[j]!r}: non-finite value {cell!r}"
                 )

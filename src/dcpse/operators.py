@@ -40,7 +40,7 @@ from .cloud import (
 _RESIDUAL_TOL = 1e-10
 _GROWTH = 1.5
 _MAX_BASIS_DEGREE = 6
-_BLOCK = 512  # nodes per stacked pass; bounds the (m, k, l, d) basis temporary
+_BLOCK = 512  # nodes per stacked pass; bounds the (m, k, l) stacked temporaries
 
 
 class InsufficientSupportError(ValueError):
@@ -185,11 +185,15 @@ def monomial_basis(alpha, r: int, d: int | None = None) -> list[tuple[int, ...]]
 
 @functools.lru_cache(maxsize=256)
 def _basis_cached(alpha: tuple[int, ...], r: int):
-    """monomial_basis plus its float matrix, memoized per (alpha, r)."""
+    """monomial_basis and its product chain (parent, axis), memoized per (alpha, r):
+    the parent lowers the last non-zero exponent by one; -1 means none."""
     basis = tuple(monomial_basis(alpha, r))
-    arr = np.asarray(basis, dtype=np.float64)
-    arr.setflags(write=False)
-    return basis, arr
+    chain = []
+    for beta in basis:
+        axis = max((i for i, b in enumerate(beta) if b), default=-1)
+        lower = tuple(b - (i == axis) for i, b in enumerate(beta))
+        chain.append((basis.index(lower) if sum(lower) else -1, axis))
+    return basis, tuple(chain)
 
 
 @dataclass(frozen=True)
@@ -198,7 +202,8 @@ class MomentSystem:
 
     V holds the basis monomials at the scaled offsets v_q = (x_p - x_q)/eps
     (one row per neighbor), E the Gaussian half-window exp(-|v_q|^2 / 2), so
-    E^2 is the kernel window.
+    E^2 is the kernel window. V's entries are fixed chains of products, e.g.
+    (x*y)*y for x y^2, so their bits do not depend on batch, layout or CPU.
     """
 
     basis: list[tuple[int, ...]]
@@ -218,10 +223,16 @@ class MomentSystem:
         return self.V.shape[1]
 
 
-def _basis_matrix(scaled: np.ndarray, basis_arr: np.ndarray) -> np.ndarray:
-    # scaled: (..., k, d), basis_arr: (l, d) -> V: (..., k, l); 0**0 == 1
-    # covers the constant monomial.
-    return np.prod(scaled[..., None, :] ** basis_arr, axis=-1)
+def _basis_matrix(scaled: np.ndarray, chain) -> np.ndarray:
+    # scaled (..., k, d) -> V (..., k, l): column 1, v[axis] or V[parent] * v[axis],
+    # correctly rounded products (no pow), so no dependence on batch, layout or CPU
+    V = np.empty(scaled.shape[:-1] + (len(chain),))
+    for j, (parent, axis) in enumerate(chain):
+        if parent >= 0:
+            np.multiply(V[..., parent], scaled[..., axis], out=V[..., j])
+        else:
+            V[..., j] = scaled[..., axis] if axis >= 0 else 1.0
+    return V
 
 
 def _rhs(basis: list[tuple[int, ...]], alpha: tuple[int, ...]) -> np.ndarray:
@@ -241,12 +252,12 @@ def _rhs(basis: list[tuple[int, ...]], alpha: tuple[int, ...]) -> np.ndarray:
 # the batch.
 
 
-def _assemble(offsets: np.ndarray, eps: np.ndarray, basis_arr: np.ndarray):
+def _assemble(offsets: np.ndarray, eps: np.ndarray, chain):
     """Stacked moment matrices from center-minus-neighbor offsets (m, k, d)
     and kernel widths (m,): returns scaled offsets, V (m, k, l), E (m, k)
     and A = B^T B (m, l, l)."""
     scaled = offsets / eps[:, None, None]
-    V = _basis_matrix(scaled, basis_arr)
+    V = _basis_matrix(scaled, chain)
     E = np.exp(-0.5 * np.sum(scaled**2, axis=2))
     B = E[..., None] * V
     return scaled, V, E, np.matmul(B.transpose(0, 2, 1), B)
@@ -340,7 +351,7 @@ def assemble_moment_system(
             f"multi-index {alpha} has {len(alpha)} components "
             f"but the cloud is {cloud.dim}-dimensional"
         )
-    basis_t, basis_arr = _basis_cached(tuple(spec.alpha), spec.r)
+    basis_t, chain = _basis_cached(tuple(spec.alpha), spec.r)
     basis = list(basis_t)
     k, l = len(neighbors), len(basis)
     if k < l and not allow_underdetermined:
@@ -350,7 +361,7 @@ def assemble_moment_system(
         )
     offsets = cloud.coords[neighbors.node] - cloud.coords[neighbors.ids]
     scaled, V, E, A = (
-        x[0] for x in _assemble(offsets[None], np.array([float(eps)]), basis_arr)
+        x[0] for x in _assemble(offsets[None], np.array([float(eps)]), chain)
     )
     b = _rhs(basis, spec.alpha)
     return MomentSystem(
@@ -635,7 +646,7 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     """
     if cloud.n != op.n or cloud.dim != op.dim:
         raise ValueError("operator was built for a different cloud")
-    basis, basis_arr = _basis_cached(tuple(op.alpha), op.r)
+    basis, chain = _basis_cached(tuple(op.alpha), op.r)
     target = _rhs(list(basis), op.alpha)
     ids = np.concatenate(op.neighbor_ids)
     w = np.concatenate(op.weights)
@@ -652,7 +663,7 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
             at = starts[nodes, None] + np.arange(k)  # (nodes, k) stencil entries
             eps = op.eps[nodes, None]
             v = (cloud.coords[nodes, None] - cloud.coords[ids[at]]) / eps[..., None]
-            V = _basis_matrix(v, basis_arr)
+            V = _basis_matrix(v, chain)
             Z = np.matmul(V.transpose(0, 2, 1), (w[at] * eps**op.order)[..., None])
             out[nodes] = np.max(np.abs(Z[..., 0] - target), axis=1)
     return out

@@ -172,10 +172,11 @@ class TestKNearest:
             b = b[np.lexsort(b.T)]
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("k", [1, 5, 12])
+    @pytest.mark.parametrize("k", [1, 5, 12, None])
     def test_bulk_arrays_match_per_node_queries(self, k):
         # tie-rich 2-d and 3-d lattices and a jittered cloud must give the
-        # brute-force scan's bytes, for every node and for a subset of nodes
+        # brute-force scan's bytes, for every node and for a subset of nodes;
+        # k None stands for n - 1, where every row takes the ball query
         axis = np.arange(6.0)
         xg, yg = np.meshgrid(axis, axis, indexing="ij")
         lattice = PointCloud(np.column_stack([xg.ravel(), yg.ravel()]))
@@ -183,14 +184,15 @@ class TestKNearest:
         grids = np.meshgrid(axis3, axis3, axis3, indexing="ij")
         lattice3 = PointCloud(np.column_stack([g.ravel() for g in grids]))
         for cloud in (lattice, lattice3, jittered_cloud(2, 7, seed=3)):
+            kk = cloud.n - 1 if k is None else k
             index = build_index(cloud)
             subset = np.arange(cloud.n)[::-3]
             for nodes in (None, subset):
-                ids, dist = _k_nearest_arrays(index, k, nodes)
+                ids, dist = _k_nearest_arrays(index, kk, nodes)
                 centers = range(cloud.n) if nodes is None else subset
-                assert ids.shape == dist.shape == (len(centers), k)
+                assert ids.shape == dist.shape == (len(centers), kk)
                 for row, p in enumerate(centers):
-                    want_ids, want_dist = brute_force_neighbors(cloud.coords, int(p), k)
+                    want_ids, want_dist = brute_force_neighbors(cloud.coords, int(p), kk)
                     assert np.array_equal(ids[row], want_ids)
                     assert np.array_equal(dist[row], want_dist)
 

@@ -28,7 +28,14 @@ from dcpse import (
     solve_kernel_coefficients,
     verify_moments,
 )
-from dcpse.operators import _rhs, _solve_block, kernel_weights, multi_index_order
+from dcpse.operators import (
+    _basis_cached,
+    _basis_matrix,
+    _rhs,
+    _solve_block,
+    kernel_weights,
+    multi_index_order,
+)
 from conftest import full_poly, jittered_cloud, poly_derivative, poly_eval
 
 
@@ -163,6 +170,72 @@ class TestMomentSystem:
         want3 = np.zeros(len(basis3))
         want3[basis3.index((1, 1))] = 1.0
         assert np.array_equal(sys3.b, want3)
+
+    @pytest.mark.parametrize(
+        "alpha, r, chains",
+        [
+            (
+                (1, 1),
+                2,
+                {
+                    (1, 0): lambda x, y: x,
+                    (0, 1): lambda x, y: y,
+                    (2, 0): lambda x, y: x * x,
+                    (1, 1): lambda x, y: x * y,
+                    (0, 2): lambda x, y: y * y,
+                    (3, 0): lambda x, y: (x * x) * x,
+                    (2, 1): lambda x, y: (x * x) * y,
+                    (1, 2): lambda x, y: (x * y) * y,
+                    (0, 3): lambda x, y: (y * y) * y,
+                },
+            ),
+            (
+                (1, 0, 0),
+                3,
+                {
+                    (0, 0, 0): lambda x, y, z: np.ones_like(x),
+                    (1, 0, 0): lambda x, y, z: x,
+                    (0, 1, 0): lambda x, y, z: y,
+                    (0, 0, 1): lambda x, y, z: z,
+                    (2, 0, 0): lambda x, y, z: x * x,
+                    (1, 1, 0): lambda x, y, z: x * y,
+                    (1, 0, 1): lambda x, y, z: x * z,
+                    (0, 2, 0): lambda x, y, z: y * y,
+                    (0, 1, 1): lambda x, y, z: y * z,
+                    (0, 0, 2): lambda x, y, z: z * z,
+                    (3, 0, 0): lambda x, y, z: (x * x) * x,
+                    (2, 1, 0): lambda x, y, z: (x * x) * y,
+                    (2, 0, 1): lambda x, y, z: (x * x) * z,
+                    (1, 2, 0): lambda x, y, z: (x * y) * y,
+                    (1, 1, 1): lambda x, y, z: (x * y) * z,
+                    (1, 0, 2): lambda x, y, z: (x * z) * z,
+                    (0, 3, 0): lambda x, y, z: (y * y) * y,
+                    (0, 2, 1): lambda x, y, z: (y * y) * z,
+                    (0, 1, 2): lambda x, y, z: (y * z) * z,
+                    (0, 0, 3): lambda x, y, z: (z * z) * z,
+                },
+            ),
+        ],
+    )
+    def test_basis_matrix_is_a_fixed_product_chain(self, alpha, r, chains):
+        # every entry of V is one fixed chain of products, so its bits do not
+        # depend on the memory layout of the scaled offsets; one block of 512
+        # nodes with 30 neighbors each, the size where a float pow changed
+        # bits with the layout
+        basis, chain = _basis_cached(alpha, r)
+        assert set(basis) == set(chains)
+        d = len(alpha)
+        scaled = np.random.default_rng(5).uniform(-2.0, 2.0, size=(512, 30, d))
+        V = _basis_matrix(scaled, chain)
+        assert V.shape == (512, 30, len(basis)) and V.flags.c_contiguous
+        coords = [scaled[..., i] for i in range(d)]
+        for j, beta in enumerate(basis):
+            assert np.array_equal(V[..., j], chains[beta](*coords)), beta
+        strided = np.zeros((512, 60, 2 * d))[:, ::2, ::2]
+        strided[...] = scaled
+        for copy in (np.asfortranarray(scaled), strided):
+            assert not copy.flags.c_contiguous
+            assert np.array_equal(_basis_matrix(copy, chain), V)
 
     def test_insufficient_support(self):
         cloud, ns = self._symmetric_pair()
