@@ -11,16 +11,15 @@ Three reference problems with closed-form solutions drive validation:
   exact bending solution involves a Fourier series.
 
 Each problem supplies a node generator (structured or jittered), exact
-fields, and the input field its derived fields are recovered from; `convergence_study` sweeps refinement
-levels and fits convergence slopes of the normalized RMS error against the
-normalized spacing.
+fields, and the input field its derived fields are recovered from;
+`convergence_study` sweeps refinement levels and fits convergence slopes of
+the normalized RMS error against the normalized spacing.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,25 +36,25 @@ _JITTER_FRACTION = 0.25
 # smooth scalar field on the unit square
 
 
-def franke(x, y):
-    """Four-bump smooth test surface on [0, 1]^2."""
+def _franke_terms(x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     t1 = 0.75 * np.exp(-((9 * x - 2) ** 2 + (9 * y - 2) ** 2) / 4.0)
     t2 = 0.75 * np.exp(-((9 * x + 1) ** 2) / 49.0 - (9 * y + 1) / 10.0)
     t3 = 0.5 * np.exp(-((9 * x - 7) ** 2 + (9 * y - 3) ** 2) / 4.0)
     t4 = -0.2 * np.exp(-((9 * x - 4) ** 2) - (9 * y - 7) ** 2)
+    return x, y, t1, t2, t3, t4
+
+
+def franke(x, y):
+    """Four-bump smooth test surface on [0, 1]^2."""
+    _, _, t1, t2, t3, t4 = _franke_terms(x, y)
     return t1 + t2 + t3 + t4
 
 
 def franke_grad(x, y):
     """Analytic gradient of `franke`; returns (df/dx, df/dy)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    t1 = 0.75 * np.exp(-((9 * x - 2) ** 2 + (9 * y - 2) ** 2) / 4.0)
-    t2 = 0.75 * np.exp(-((9 * x + 1) ** 2) / 49.0 - (9 * y + 1) / 10.0)
-    t3 = 0.5 * np.exp(-((9 * x - 7) ** 2 + (9 * y - 3) ** 2) / 4.0)
-    t4 = -0.2 * np.exp(-((9 * x - 4) ** 2) - (9 * y - 7) ** 2)
+    x, y, t1, t2, t3, t4 = _franke_terms(x, y)
     gx = (
         t1 * (-4.5 * (9 * x - 2))
         + t2 * (-18.0 * (9 * x + 1) / 49.0)
@@ -287,11 +286,13 @@ def _ray_exit(theta: np.ndarray, width: float) -> np.ndarray:
 
 
 _PLATE_GRADING = 2.5
+_PLATE_SIGMA0 = 1.0e6  # remote tension
+_PLATE_RADIUS = 1.0  # hole radius
+_PLATE_WIDTH = 4.0  # half-width of the plate's quarter domain
+_PLATE_MATERIAL = ElasticMaterial(young=200.0e9, poisson=0.3)
 
 
-def _plate_cloud(
-    level: int, kind: str, seed: int, a: float, width: float
-) -> PointCloud:
+def _plate_cloud(level: int, kind: str, seed: int) -> PointCloud:
     m = 8 * 2**level
     si = np.arange(m + 1) / m
     tj = np.arange(m + 1) / m
@@ -304,14 +305,19 @@ def _plate_cloud(
     # the stress gradients are steepest
     sg = np.expm1(_PLATE_GRADING * sg) / math.expm1(_PLATE_GRADING)
     theta = tg * (math.pi / 2.0)
-    rho = a + sg * (_ray_exit(theta, width) - a)
+    a = _PLATE_RADIUS
+    rho = a + sg * (_ray_exit(theta, _PLATE_WIDTH) - a)
     coords = np.column_stack(
         [(rho * np.cos(theta)).ravel(), (rho * np.sin(theta)).ravel()]
     )
     return PointCloud(coords)
 
 
-def _box_cloud(level: int, kind: str, seed: int, p: CantileverParams) -> PointCloud:
+_CANTILEVER = CantileverParams()
+
+
+def _box_cloud(level: int, kind: str, seed: int) -> PointCloud:
+    p = _CANTILEVER
     nx = 4 * 2**level + 1
     nz = 20 * 2**level + 1
     xs = np.linspace(-p.a, p.a, nx)
@@ -387,6 +393,8 @@ class BenchmarkProblem:
 
 
 def _franke_exact(coords):
+    # franke_grad is looked up at call time, so patching the module
+    # attribute takes effect here too
     gx, gy = franke_grad(coords[:, 0], coords[:, 1])
     return {"du_dx": gx, "du_dy": gy}
 
@@ -395,76 +403,67 @@ def _franke_field(coords):
     return franke(coords[:, 0], coords[:, 1])
 
 
-def _franke_problem() -> BenchmarkProblem:
-    return BenchmarkProblem(
-        name="franke",
-        dim=2,
-        components=("du_dx", "du_dy"),
-        generate=_square_cloud,
-        exact=_franke_exact,
-        input_field=_franke_field,
-        picks=(0, 1),
+def _plate_exact(coords):
+    sxx, syy, sxy = kirsch_stress(
+        coords[:, 0], coords[:, 1], sigma0=_PLATE_SIGMA0, a=_PLATE_RADIUS
     )
+    return {"sxx": sxx, "sxy": sxy, "syy": syy}
 
 
-def _plate_problem(
-    sigma0: float = 1.0e6,
-    a: float = 1.0,
-    width: float = 4.0,
-    material: ElasticMaterial | None = None,
-) -> BenchmarkProblem:
-    mat = material or ElasticMaterial(young=200.0e9, poisson=0.3)
-
-    def exact(coords):
-        sxx, syy, sxy = kirsch_stress(coords[:, 0], coords[:, 1], sigma0=sigma0, a=a)
-        return {"sxx": sxx, "sxy": sxy, "syy": syy}
-
-    def displacement(coords):
-        ux, uy = kirsch_displacement(
-            coords[:, 0], coords[:, 1], mat, sigma0=sigma0, a=a
-        )
-        return np.column_stack([ux, uy])
-
-    return BenchmarkProblem(
-        name="plate",
-        dim=2,
-        components=("sxx", "sxy", "syy"),
-        generate=functools.partial(_plate_cloud, a=a, width=width),
-        exact=exact,
-        input_field=displacement,
-        picks=("xx", "xy", "yy"),
-        material=mat,
+def _plate_displacement(coords):
+    ux, uy = kirsch_displacement(
+        coords[:, 0],
+        coords[:, 1],
+        _PLATE_MATERIAL,
+        sigma0=_PLATE_SIGMA0,
+        a=_PLATE_RADIUS,
     )
+    return np.column_stack([ux, uy])
 
 
-def _cantilever_problem(params: CantileverParams | None = None) -> BenchmarkProblem:
-    p = params or CantileverParams()
-    return BenchmarkProblem(
-        name="cantilever",
-        dim=3,
-        components=("szz", "sxz", "syz"),
-        generate=functools.partial(_box_cloud, p=p),
-        exact=functools.partial(cantilever_stress, params=p),
-        input_field=functools.partial(cantilever_displacement, params=p),
-        picks=("zz", "xz", "yz"),
-        material=p.material,
+_PROBLEMS = {
+    problem.name: problem
+    for problem in (
+        BenchmarkProblem(
+            name="franke",
+            dim=2,
+            components=("du_dx", "du_dy"),
+            generate=_square_cloud,
+            exact=_franke_exact,
+            input_field=_franke_field,
+            picks=(0, 1),
+        ),
+        BenchmarkProblem(
+            name="plate",
+            dim=2,
+            components=("sxx", "sxy", "syy"),
+            generate=_plate_cloud,
+            exact=_plate_exact,
+            input_field=_plate_displacement,
+            picks=("xx", "xy", "yy"),
+            material=_PLATE_MATERIAL,
+        ),
+        BenchmarkProblem(
+            name="cantilever",
+            dim=3,
+            components=("szz", "sxz", "syz"),
+            generate=_box_cloud,
+            exact=cantilever_stress,
+            input_field=cantilever_displacement,
+            picks=("zz", "xz", "yz"),
+            material=_CANTILEVER.material,
+        ),
     )
-
-
-_PROBLEM_FACTORIES = {
-    "franke": _franke_problem,
-    "plate": _plate_problem,
-    "cantilever": _cantilever_problem,
 }
 
 
 def get_problem(name: str) -> BenchmarkProblem:
     """Benchmark problem by name: franke, plate, or cantilever."""
     try:
-        return _PROBLEM_FACTORIES[name]()
+        return _PROBLEMS[name]
     except KeyError:
         raise ValueError(
-            f"unknown benchmark {name!r}; available: {sorted(_PROBLEM_FACTORIES)}"
+            f"unknown benchmark {name!r}; available: {sorted(_PROBLEMS)}"
         ) from None
 
 
@@ -509,15 +508,7 @@ class ConvergenceReport:
     slope_residuals: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "kind": self.kind,
-            "operator": dict(self.operator),
-            "levels": [dict(entry) for entry in self.levels],
-            "fit_levels": list(self.fit_levels),
-            "slopes": dict(self.slopes),
-            "slope_residuals": dict(self.slope_residuals),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ConvergenceReport":
@@ -628,7 +619,7 @@ def convergence_study(
     levels = [int(lv) for lv in levels]
     if len(levels) < 3:
         raise ValueError(
-            f"convergence study needs at least 3 levels, got {len(levels)}"
+            f"convergence study needs at least three levels, got {len(levels)}"
         )
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must be strictly increasing, got {levels}")

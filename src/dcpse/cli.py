@@ -6,10 +6,15 @@ elastic recovery chain on displacement columns, `benchmark` evaluates one
 refinement level of a named benchmark, and `convergence` sweeps several
 levels and fits slopes.
 
-Exit codes: 0 on success, 1 on numerical failure (operator construction or
-verification), 2 on usage or validation errors. Human-oriented diagnostics
-(support sizes, condition estimates, moment residuals) go to stderr;
-results go to the requested output files or stdout.
+Input checks live in the library; the CLI checks only that the named field
+or displacement columns exist, and maps exceptions to exit codes: 0 on
+success; 1, printing "numerical failure: ...", on OperatorBuildError and
+IllConditionedNodeError; 2, printing "error: ...", on ValueError (ParseError
+and DuplicateNodeError among them), FileNotFoundError, IsADirectoryError and
+PermissionError.
+
+Human-oriented diagnostics (support sizes, condition estimates, moment
+residuals) go to stderr; results go to the requested output files or stdout.
 """
 
 from __future__ import annotations
@@ -26,15 +31,9 @@ from .benchmarks import (
     get_problem,
     operator_settings,
 )
-from .cloud import DuplicateNodeError, build_index
+from .cloud import build_index
 from .elasticity import ElasticMaterial, recover
-from .io_formats import (
-    ParseError,
-    UnsupportedFormatError,
-    read_points_csv,
-    write_field_csv,
-    write_report,
-)
+from .io_formats import read_points_csv, write_field_csv, write_report
 from .operators import (
     IllConditionedNodeError,
     OperatorBuildError,
@@ -47,37 +46,17 @@ _EXIT_NUMERICAL = 1
 _EXIT_USAGE = 2
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _parse_alpha(text: str) -> tuple[int, ...]:
     try:
-        alpha = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _CliError(
-            f"invalid multi-index {text!r}; expected comma-separated integers",
-            _EXIT_USAGE,
+        raise ValueError(
+            f"invalid multi-index {text!r}; expected comma-separated integers"
         ) from None
-    return alpha
 
 
 def _alpha_suffix(alpha: tuple[int, ...]) -> str:
     return "".join(axis * count for axis, count in zip("xyz", alpha))
-
-
-def _operator_spec(args, alpha) -> OperatorSpec:
-    try:
-        return OperatorSpec(
-            alpha=alpha,
-            r=args.r,
-            eps_factor=args.eps_factor,
-            neighbor_factor=args.neighbor_factor,
-        )
-    except ValueError as err:
-        raise _CliError(str(err), _EXIT_USAGE) from None
 
 
 def _print_diagnostics(label, op, cloud):
@@ -93,24 +72,21 @@ def _print_diagnostics(label, op, cloud):
 def cmd_derive(args) -> int:
     cloud, fields = read_points_csv(args.input)
     if args.field not in fields:
-        raise _CliError(
+        raise ValueError(
             f"field {args.field!r} not found in {args.input}; "
-            f"available: {sorted(fields)}",
-            _EXIT_USAGE,
+            f"available: {sorted(fields)}"
         )
-    alpha = _parse_alpha(args.alpha)
-    if len(alpha) != cloud.dim:
-        raise _CliError(
-            f"multi-index {args.alpha!r} has {len(alpha)} components but the "
-            f"input is {cloud.dim}-dimensional",
-            _EXIT_USAGE,
-        )
-    spec = _operator_spec(args, alpha)
+    spec = OperatorSpec(
+        alpha=_parse_alpha(args.alpha),
+        r=args.r,
+        eps_factor=args.eps_factor,
+        neighbor_factor=args.neighbor_factor,
+    )
     index = build_index(cloud)
     op = build_operator(cloud, index, spec)
-    _print_diagnostics(f"derive d{_alpha_suffix(alpha)}", op, cloud)
+    _print_diagnostics(f"derive d{_alpha_suffix(spec.alpha)}", op, cloud)
     derived = op.apply(fields[args.field])
-    out_name = f"{args.field}_d{_alpha_suffix(alpha)}"
+    out_name = f"{args.field}_d{_alpha_suffix(spec.alpha)}"
     out_fields = dict(fields)
     out_fields[out_name] = derived
     write_field_csv(args.output, cloud, out_fields)
@@ -120,19 +96,11 @@ def cmd_derive(args) -> int:
 
 def cmd_recover(args) -> int:
     cloud, fields = read_points_csv(args.input)
-    if cloud.dim < 2:
-        raise _CliError("recovery needs a 2-d or 3-d cloud", _EXIT_USAGE)
     wanted = ["ux", "uy", "uz"][: cloud.dim]
     missing = [name for name in wanted if name not in fields]
     if missing:
-        raise _CliError(
-            f"missing displacement column(s) {missing} in {args.input}",
-            _EXIT_USAGE,
-        )
-    try:
-        material = ElasticMaterial(young=args.young, poisson=args.poisson)
-    except ValueError as err:
-        raise _CliError(str(err), _EXIT_USAGE) from None
+        raise ValueError(f"missing displacement column(s) {missing} in {args.input}")
+    material = ElasticMaterial(young=args.young, poisson=args.poisson)
     displacement = np.column_stack([fields[name] for name in wanted])
     index = build_index(cloud)
     result = recover(cloud, index, displacement, material, r=args.r)
@@ -154,19 +122,6 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _checked_problem(args):
-    try:
-        problem = get_problem(args.problem)
-    except ValueError as err:
-        raise _CliError(str(err), _EXIT_USAGE) from None
-    if args.kind not in ("structured", "jittered"):
-        raise _CliError(
-            f"kind must be 'structured' or 'jittered', got {args.kind!r}",
-            _EXIT_USAGE,
-        )
-    return problem
-
-
 def _print_level_entry(name, entry):
     worst = max(entry["nrmse"].values())
     print(
@@ -179,7 +134,7 @@ def _print_level_entry(name, entry):
 
 
 def cmd_benchmark(args) -> int:
-    problem = _checked_problem(args)
+    problem = get_problem(args.problem)
     entry = evaluate_level(
         problem,
         args.level,
@@ -209,10 +164,9 @@ def _parse_levels(text: str) -> list[int]:
     try:
         parts = [int(part) for part in text.split(",")]
     except ValueError:
-        raise _CliError(
+        raise ValueError(
             f"invalid levels {text!r}; expected a count or comma-separated "
-            "levels such as 1,2,3",
-            _EXIT_USAGE,
+            "levels such as 1,2,3"
         ) from None
     if len(parts) == 1:
         # a single number is a sweep length starting at level 0
@@ -221,13 +175,9 @@ def _parse_levels(text: str) -> list[int]:
 
 
 def cmd_convergence(args) -> int:
-    problem = _checked_problem(args)
-    levels = _parse_levels(args.levels)
-    if len(levels) < 3:
-        raise _CliError("convergence needs at least three levels", _EXIT_USAGE)
     report = convergence_study(
-        problem,
-        levels,
+        args.problem,
+        _parse_levels(args.levels),
         kind=args.kind,
         r=args.r,
         eps_factor=args.eps_factor,
@@ -316,19 +266,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
     except (OperatorBuildError, IllConditionedNodeError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    except (ParseError, UnsupportedFormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (ValueError, DuplicateNodeError) as err:
+    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return _EXIT_USAGE
 

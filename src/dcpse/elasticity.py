@@ -270,15 +270,12 @@ def recover(
     3-d embedding used for the deviatoric quantities. `principal` contains
     the in-plane principal pair in 2-d.
     """
+    if cloud.dim not in (2, 3):
+        raise ValueError("recovery is defined for 2-d and 3-d clouds")
     grad = displacement_gradient(cloud, index, displacement, r=r, operators=operators)
     strain = strain_from_gradient(grad)
     stress = stress_from_strain(strain, material)
-    if cloud.dim == 2:
-        stress3 = plane_strain_embed(stress, material.poisson)
-    elif cloud.dim == 3:
-        stress3 = stress
-    else:
-        raise ValueError("recovery is defined for 2-d and 3-d clouds")
+    stress3 = stress if cloud.dim == 3 else plane_strain_embed(stress, material.poisson)
     vm = von_mises(stress3)
     principal = principal_stresses(stress)
     return RecoveredFields(

@@ -403,7 +403,8 @@ class StencilOperator:
     weights w_q of node p's neighbors and, last, the center coupling
     sign * sum_q w_q, so applying the operator evaluates
     sum_q w_q (f_q + sign * f_p). `neighbor_ids` and `weights` are
-    read-only per-node views of those rows without the center entry.
+    read-only per-node views of those rows without the center entry, made
+    on first access.
     Diagnostics from construction (kernel width, support size, condition
     estimate) are kept per node, in read-only arrays that the components of
     one gradient build share.
@@ -417,16 +418,23 @@ class StencilOperator:
     support_size: np.ndarray = field(repr=False)
     condition: np.ndarray = field(repr=False)
     _matrix: csr_matrix = field(repr=False, compare=False)
-    neighbor_ids: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self._matrix
         for arr in (m.data, m.indices, m.indptr):
             arr.flags.writeable = False
-        rows = list(zip(m.indptr[:-1].tolist(), (m.indptr[1:] - 1).tolist()))
-        object.__setattr__(self, "neighbor_ids", [m.indices[a:b] for a, b in rows])
-        object.__setattr__(self, "weights", [m.data[a:b] for a, b in rows])
+
+    def _rows(self, values: np.ndarray) -> list[np.ndarray]:
+        ptr = self._matrix.indptr
+        return [values[a:b] for a, b in zip(ptr[:-1].tolist(), (ptr[1:] - 1).tolist())]
+
+    @functools.cached_property
+    def neighbor_ids(self) -> list[np.ndarray]:
+        return self._rows(self._matrix.indices)
+
+    @functools.cached_property
+    def weights(self) -> list[np.ndarray]:
+        return self._rows(self._matrix.data)
 
     @property
     def order(self) -> int:
@@ -648,10 +656,8 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
         raise ValueError("operator was built for a different cloud")
     basis, chain = _basis_cached(tuple(op.alpha), op.r)
     target = _rhs(list(basis), op.alpha)
-    ids = np.concatenate(op.neighbor_ids)
-    w = np.concatenate(op.weights)
-    counts = np.fromiter(map(len, op.weights), dtype=np.intp, count=op.n)
-    starts = np.cumsum(counts) - counts
+    ids, w, ptr = op._matrix.indices, op._matrix.data, op._matrix.indptr
+    starts, counts = ptr[:-1], np.diff(ptr) - 1  # rows without the center entry
     out = np.empty(op.n)
     # one stacked product per support size and block of nodes: each node's
     # moments come from the same (k, l) matrix-vector product a single-node

@@ -336,13 +336,21 @@ class TestGenerators:
         assert np.min(cloud.coords[:, 2]) == 0.0
         assert np.max(cloud.coords[:, 2]) == 10.0
 
-    def test_jitter_moves_only_interior(self):
-        base = generate_nodes("franke", 0, kind="structured")
-        jit = generate_nodes("franke", 0, kind="jittered", seed=3)
+    @pytest.mark.parametrize(
+        "name, lo, hi, s",
+        [
+            ("franke", (0.0, 0.0), (1.0, 1.0), 1.0 / 8),
+            ("cantilever", (-1.0, -1.0, 0.0), (1.0, 1.0, 10.0), 0.5),
+        ],
+        ids=["franke", "cantilever"],
+    )
+    def test_jitter_moves_only_interior(self, name, lo, hi, s):
+        base = generate_nodes(name, 0, kind="structured")
+        jit = generate_nodes(name, 0, kind="jittered", seed=3)
         moved = np.any(base.coords != jit.coords, axis=1)
-        s = 1.0 / 8
         on_boundary = np.any(
-            (base.coords < s / 2) | (base.coords > 1 - s / 2), axis=1
+            (base.coords < np.add(lo, s / 2)) | (base.coords > np.subtract(hi, s / 2)),
+            axis=1,
         )
         assert not np.any(moved & on_boundary)
         assert np.any(moved)

@@ -75,12 +75,15 @@ class TestDerive:
              "--output", str(tmp_path / "o.csv")]
         ) == 2
 
-    def test_alpha_dimension_mismatch(self, tmp_path, quad_csv):
+    def test_alpha_dimension_mismatch(self, tmp_path, quad_csv, capsys):
         path, _ = quad_csv
         assert run(
             ["derive", "--input", path, "--field", "f", "--alpha", "1,0,0",
              "--output", str(tmp_path / "o.csv")]
         ) == 2
+        assert capsys.readouterr().err == (
+            "error: multi-index (1, 0, 0) does not match cloud dimension 2\n"
+        )
 
     def test_missing_input_file(self, tmp_path):
         assert run(
@@ -147,13 +150,16 @@ class TestRecover:
              "--output", str(tmp_path / "o.csv")]
         ) == 2
 
-    def test_1d_cloud_rejected(self, tmp_path):
+    def test_1d_cloud_rejected(self, tmp_path, capsys):
         cloud = PointCloud(np.linspace(0, 1, 10)[:, None])
         path = make_csv(tmp_path / "d.csv", cloud, {"ux": np.zeros(10)})
         assert run(
             ["recover", "--input", path, "--young", "1", "--poisson", "0.3",
              "--output", str(tmp_path / "o.csv")]
         ) == 2
+        assert capsys.readouterr().err == (
+            "error: recovery is defined for 2-d and 3-d clouds\n"
+        )
 
 
 class TestBenchmark:
@@ -182,12 +188,19 @@ class TestBenchmark:
         assert np.isfinite(e2)
         assert e2 < e0
 
-    def test_unknown_problem(self):
+    def test_unknown_problem(self, capsys):
         assert run(["benchmark", "--problem", "beam", "--level", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown benchmark 'beam'; "
+            "available: ['cantilever', 'franke', 'plate']\n"
+        )
 
-    def test_bad_kind(self):
+    def test_bad_kind(self, capsys):
         assert run(["benchmark", "--problem", "franke", "--level", "0",
                     "--kind", "chaotic"]) == 2
+        assert capsys.readouterr().err == (
+            "error: kind must be 'structured' or 'jittered', got 'chaotic'\n"
+        )
 
 
 class TestConvergence:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dcpse import (
     ElasticMaterial,
+    PointCloud,
     SymTensorField,
     build_index,
     deviatoric,
@@ -327,6 +328,13 @@ class TestRecover:
         assert np.allclose(strain_mats, sym[None], atol=1e-9)
         # 3-d input: stress3 is the stress itself
         assert result.stress3 is result.stress
+
+    def test_1d_cloud_rejected_before_any_build(self):
+        # one node cannot carry a stencil: the dimension check must come first
+        cloud = PointCloud(np.zeros((1, 1)))
+        mat = ElasticMaterial(young=1.0, poisson=0.3)
+        with pytest.raises(ValueError, match="2-d and 3-d"):
+            recover(cloud, build_index(cloud), np.zeros((1, 1)), mat)
 
     def test_operator_reuse_matches(self):
         from dcpse import gradient_operator

@@ -1,8 +1,8 @@
 """Derivative stencil construction: basis, moment systems, solving, apply."""
 
+import dataclasses
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -542,20 +542,9 @@ class TestVerifyMoments:
             # the largest weight and the last one of a comparable size
             big = np.flatnonzero(size > 0.1 * np.max(size))
             for entry in (np.argmax(size), big[-1]):
-                w = op.weights[node].copy()
-                w[entry] *= 1.0 + 1e-6
-                weights = list(op.weights)
-                weights[node] = w
-                perturbed = SimpleNamespace(
-                    alpha=op.alpha,
-                    r=op.r,
-                    order=op.order,
-                    n=op.n,
-                    dim=op.dim,
-                    eps=op.eps,
-                    neighbor_ids=op.neighbor_ids,
-                    weights=weights,
-                )
+                matrix = op._matrix.copy()
+                matrix.data[matrix.indptr[node] + entry] *= 1.0 + 1e-6
+                perturbed = dataclasses.replace(op, _matrix=matrix)
                 got = verify_moments(perturbed, cloud)
                 assert np.flatnonzero(got != base).tolist() == [node]
                 assert got[node] > base[node] + 1e-10
