@@ -14,7 +14,8 @@ and DuplicateNodeError among them), FileNotFoundError, IsADirectoryError and
 PermissionError.
 
 Human-oriented diagnostics (support sizes, condition estimates, moment
-residuals) go to stderr; results go to the requested output files or stdout.
+residuals) and library warnings, one "warning: ..." line each, go to
+stderr; results go to the requested output files or stdout.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -39,11 +41,13 @@ from .operators import (
     OperatorBuildError,
     OperatorSpec,
     build_operator,
+    gradient_operator,
     verify_moments,
 )
 
 _EXIT_NUMERICAL = 1
 _EXIT_USAGE = 2
+_USAGE_ERRORS = (ValueError, FileNotFoundError, IsADirectoryError, PermissionError)
 
 
 def _parse_alpha(text: str) -> tuple[int, ...]:
@@ -103,7 +107,9 @@ def cmd_recover(args) -> int:
     material = ElasticMaterial(young=args.young, poisson=args.poisson)
     displacement = np.column_stack([fields[name] for name in wanted])
     index = build_index(cloud)
-    result = recover(cloud, index, displacement, material, r=args.r)
+    factors = {"eps_factor": args.eps_factor, "neighbor_factor": args.neighbor_factor}
+    ops = gradient_operator(cloud, index, args.r, **factors)
+    result = recover(cloud, index, displacement, material, operators=ops)
     print(
         f"recover: nodes={cloud.n} dim={cloud.dim} "
         f"vm_max={float(np.max(result.von_mises)):.6e}",
@@ -262,16 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (OperatorBuildError, IllConditionedNodeError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return _EXIT_NUMERICAL
-    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _EXIT_USAGE
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():  # library warnings as one plain line each
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (OperatorBuildError, IllConditionedNodeError) as err:
+            print(f"numerical failure: {err}", file=sys.stderr)
+            return _EXIT_NUMERICAL
+        except _USAGE_ERRORS as err:
+            print(f"error: {err}", file=sys.stderr)
+            return _EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -238,11 +238,7 @@ def _basis_matrix(scaled: np.ndarray, chain) -> np.ndarray:
 def _rhs(basis: list[tuple[int, ...]], alpha: tuple[int, ...]) -> np.ndarray:
     b = np.zeros(len(basis))
     sign = -1.0 if multi_index_order(alpha) % 2 == 1 else 1.0
-    try:
-        idx = basis.index(alpha)
-    except ValueError:
-        raise ValueError(f"derivative multi-index {alpha} not in basis") from None
-    b[idx] = sign * math.prod(math.factorial(a) for a in alpha)
+    b[basis.index(alpha)] = sign * math.prod(math.factorial(a) for a in alpha)
     return b
 
 
@@ -271,16 +267,15 @@ def _solve(
     For k >= l the 1-norm condition estimate must be finite and at most
     cond_threshold, and the passing systems are solved by LU. For k < l
     (the whole cloud is smaller than the basis) there is no gate and the
-    minimal-norm solution comes from the SVD of B. Either way two
-    refinement steps follow and |A a - b| <= 1e-10 (1 + |b|) is enforced
-    per column. Returns the condition estimates (m,), inf for k < l, the
+    minimal-norm solution comes from the SVD of B. Either way each column
+    gets one solve, and |A a - b| <= 1e-10 (1 + |b|) is enforced per
+    column. Returns the condition estimates (m,), inf for k < l, the
     coefficients (c, m, l, 1), and the failure detail of each failed row.
     """
     m, k, l = V.shape
     why: dict[int, str] = {}
     if k >= l:
         cond = np.linalg.cond(A, 1)
-        cond[np.isnan(cond)] = np.inf
         live = np.isfinite(cond) & (cond <= cond_threshold)
         for i in np.flatnonzero(~live).tolist():
             why[i] = (
@@ -308,8 +303,6 @@ def _solve(
     for j, col in enumerate(rhs.T):
         b = np.broadcast_to(col[:, None], A.shape[:2] + (1,))
         a = solve(b)
-        for _ in range(2):  # refinement keeps the residual near round-off
-            a = a + solve(b - A @ a)
         res = (A @ a - b)[..., 0]
         resid = np.sqrt(np.sum(res * res, axis=1))
         bound = _RESIDUAL_TOL * (1.0 + math.sqrt(float(col @ col)))
@@ -507,9 +500,8 @@ def _build_many(
     Growth stops at k = n - 1, so a cloud smaller than the basis (k < l) has
     one attempt, at its minimal-norm solve.
     """
-    orders = {multi_index_order(a) for a in alphas}
-    if len(orders) != 1:
-        raise ValueError("shared construction requires equal derivative orders")
+    if not np.array_equal(index.cloud.coords, cloud.coords):
+        raise ValueError("spatial index was built for a different cloud")
     basis = monomial_basis(alphas[0], spec.r)
     rhs = np.column_stack([_rhs(basis, a) for a in alphas])
     l = len(basis)
@@ -582,7 +574,8 @@ def build_operator(
     Initial support size is k = ceil(neighbor_factor * l), capped at n - 1;
     supports flagged ill-conditioned are regrown by 1.5x up to
     max_growth_attempts times. If any node still fails, an
-    OperatorBuildError listing the failing node ids is raised.
+    OperatorBuildError listing the failing node ids is raised. An index
+    built over other coordinates than the cloud's raises ValueError.
 
     The build is one batched pass over all nodes per growth attempt, and
     each node's weights do not depend on the batch it is solved in, so two

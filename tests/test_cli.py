@@ -103,6 +103,25 @@ class TestDerive:
         assert code == 1
         assert "failure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("always::UserWarning")
+    def test_library_warning_is_one_plain_line(self, tmp_path, capsys):
+        cloud = jittered_cloud(2, 8, seed=4)
+        twin = PointCloud(np.vstack([cloud.coords, cloud.coords[20]]))
+        path = make_csv(tmp_path / "twin.csv", twin, {"f": twin.coords[:, 0]})
+        code = run(
+            ["derive", "--input", path, "--field", "f", "--alpha", "1,0",
+             "--output", str(tmp_path / "o.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert lines[0] == (
+            "warning: cloud contains 1 coincident node pair(s), e.g. [(20, 64)]; "
+            "operators cannot be built at these nodes"
+        )
+        assert lines[1].startswith("numerical failure: ")
+        assert "cli.py" not in err
+
 
 class TestRecover:
     def test_linear_displacement_constant_stress(self, tmp_path):
@@ -127,6 +146,30 @@ class TestRecover:
         want_sxx = 2 * mu * a + lam * tr
         assert np.allclose(got["sxx"], want_sxx, rtol=1e-6)
         assert np.allclose(got["sxy"], 0.0, atol=want_sxx * 1e-8)
+
+    def test_operator_flags_reach_the_build(self, tmp_path, capsys):
+        cloud = jittered_cloud(2, 9, seed=22)
+        x, y = cloud.coords[:, 0], cloud.coords[:, 1]
+        u = np.column_stack([1e-3 * x * y, -2e-4 * x**2])
+        path = make_csv(tmp_path / "disp.csv", cloud, {"ux": u[:, 0], "uy": u[:, 1]})
+        base = ["recover", "--input", path, "--young", "1", "--poisson", "0.3"]
+        default, flagged = tmp_path / "default.csv", tmp_path / "flagged.csv"
+        assert run(base + ["--output", str(default)]) == 0
+        flags = ["--neighbor-factor", "3.0", "--eps-factor", "0.7"]
+        assert run(base + flags + ["--output", str(flagged)]) == 0
+        assert default.read_bytes() != flagged.read_bytes()
+        from dcpse import (
+            ElasticMaterial, build_index, gradient_operator, read_points_csv, recover
+        )
+
+        index = build_index(cloud)
+        material = ElasticMaterial(young=1.0, poisson=0.3)
+        factors = {"neighbor_factor": 3.0, "eps_factor": 0.7}
+        for out, kwargs in ((default, {}), (flagged, factors)):
+            ops = gradient_operator(cloud, index, **kwargs)
+            want = recover(cloud, index, u, material, operators=ops)
+            _, got = read_points_csv(out)
+            assert np.array_equal(got["vm"], want.von_mises)
 
     def test_missing_displacement_column(self, tmp_path, capsys):
         cloud = jittered_cloud(2, 5, seed=1)

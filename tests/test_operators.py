@@ -237,6 +237,19 @@ class TestMomentSystem:
             assert not copy.flags.c_contiguous
             assert np.array_equal(_basis_matrix(copy, chain), V)
 
+    def test_solve_is_one_lu_solve(self):
+        # the solve stage is one LU solve per right-hand side: no refinement
+        cloud = jittered_cloud(2, 9, seed=3)
+        index = build_index(cloud)
+        spec = OperatorSpec(alpha=(1, 0))
+        k = math.ceil(spec.neighbor_factor * len(monomial_basis(spec.alpha, spec.r)))
+        for p in range(cloud.n):
+            ns = k_nearest(index, p, k)
+            system = assemble_moment_system(cloud, ns, spec, average_spacing(cloud, ns))
+            want = np.linalg.solve(system.A[None], system.b[None, :, None])
+            got = solve_kernel_coefficients(system, node=p)
+            assert np.array_equal(got, want[0, :, 0]), p
+
     def test_insufficient_support(self):
         cloud, ns = self._symmetric_pair()
         spec = OperatorSpec(alpha=(1,), r=2)
@@ -432,6 +445,23 @@ class TestBuildOperator:
         index = build_index(cloud)
         with pytest.raises(InsufficientSupportError):
             build_operator(cloud, index, OperatorSpec(alpha=(1, 0)))
+
+    def test_index_of_another_cloud_rejected(self):
+        # same node count, other geometry: supports would come from the
+        # index's cloud and offsets from this one
+        rng = np.random.default_rng(5)
+        cloud, other = (PointCloud(rng.uniform(size=(400, 2))) for _ in range(2))
+        spec = OperatorSpec(alpha=(1, 0))
+        with pytest.raises(ValueError, match="different cloud"):
+            build_operator(cloud, build_index(other), spec)
+        with pytest.raises(ValueError, match="different cloud"):
+            gradient_operator(cloud, build_index(other))
+        # an index over an equal copy of the cloud is the same index
+        copy = build_index(PointCloud(cloud.coords.copy()))
+        assert _same_stencils(
+            build_operator(cloud, copy, spec),
+            build_operator(cloud, build_index(cloud), spec),
+        )
 
 
 def franke_like(cloud):
