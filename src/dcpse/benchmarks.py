@@ -338,9 +338,10 @@ def _box_cloud(level: int, kind: str, seed: int) -> PointCloud:
 # benchmark problem bundles
 
 
-def _operator_diagnostics(
+def operator_diagnostics(
     ops: tuple[StencilOperator, ...], cloud: PointCloud
 ) -> dict[str, float]:
+    """Largest condition estimate, moment residual and support size of ops."""
     max_cond = max(float(np.max(op.condition)) for op in ops)
     max_resid = max(float(np.max(verify_moments(op, cloud))) for op in ops)
     max_support = max(int(np.max(op.support_size)) for op in ops)
@@ -363,7 +364,6 @@ class BenchmarkProblem:
     """
 
     name: str
-    dim: int
     components: tuple[str, ...]
     generate: Callable[[int, str, int], PointCloud]
     exact: Callable[[np.ndarray], dict[str, np.ndarray]]
@@ -389,7 +389,7 @@ class BenchmarkProblem:
         else:
             rec = recover(cloud, index, values, self.material, r=r, operators=ops)
             out = [rec.stress.component(name) for name in self.picks]
-        return dict(zip(self.components, out)), _operator_diagnostics(ops, cloud)
+        return dict(zip(self.components, out)), operator_diagnostics(ops, cloud)
 
 
 def _franke_exact(coords):
@@ -426,7 +426,6 @@ _PROBLEMS = {
     for problem in (
         BenchmarkProblem(
             name="franke",
-            dim=2,
             components=("du_dx", "du_dy"),
             generate=_square_cloud,
             exact=_franke_exact,
@@ -435,7 +434,6 @@ _PROBLEMS = {
         ),
         BenchmarkProblem(
             name="plate",
-            dim=2,
             components=("sxx", "sxy", "syy"),
             generate=_plate_cloud,
             exact=_plate_exact,
@@ -445,7 +443,6 @@ _PROBLEMS = {
         ),
         BenchmarkProblem(
             name="cantilever",
-            dim=3,
             components=("szz", "sxz", "syz"),
             generate=_box_cloud,
             exact=cantilever_stress,

@@ -31,6 +31,7 @@ from .benchmarks import (
     convergence_study,
     evaluate_level,
     get_problem,
+    operator_diagnostics,
     operator_settings,
 )
 from .cloud import build_index
@@ -42,7 +43,6 @@ from .operators import (
     OperatorSpec,
     build_operator,
     gradient_operator,
-    verify_moments,
 )
 
 _EXIT_NUMERICAL = 1
@@ -63,14 +63,9 @@ def _alpha_suffix(alpha: tuple[int, ...]) -> str:
     return "".join(axis * count for axis, count in zip("xyz", alpha))
 
 
-def _print_diagnostics(label, op, cloud):
-    residual = float(np.max(verify_moments(op, cloud)))
-    print(
-        f"{label}: nodes={cloud.n} support<={int(np.max(op.support_size))} "
-        f"cond<={float(np.max(op.condition)):.3e} moment_residual<={residual:.3e}",
-        file=sys.stderr,
-    )
-    return residual
+def _operator_kwargs(args) -> dict:
+    """The operator flags as the library's keyword arguments."""
+    return {k: getattr(args, k) for k in ("r", "eps_factor", "neighbor_factor")}
 
 
 def cmd_derive(args) -> int:
@@ -80,15 +75,15 @@ def cmd_derive(args) -> int:
             f"field {args.field!r} not found in {args.input}; "
             f"available: {sorted(fields)}"
         )
-    spec = OperatorSpec(
-        alpha=_parse_alpha(args.alpha),
-        r=args.r,
-        eps_factor=args.eps_factor,
-        neighbor_factor=args.neighbor_factor,
+    spec = OperatorSpec(alpha=_parse_alpha(args.alpha), **_operator_kwargs(args))
+    op = build_operator(cloud, build_index(cloud), spec)
+    diag = operator_diagnostics((op,), cloud)
+    print(
+        f"derive d{_alpha_suffix(spec.alpha)}: nodes={cloud.n} "
+        f"support<={diag['max_support']} cond<={diag['max_condition']:.3e} "
+        f"moment_residual<={diag['max_moment_residual']:.3e}",
+        file=sys.stderr,
     )
-    index = build_index(cloud)
-    op = build_operator(cloud, index, spec)
-    _print_diagnostics(f"derive d{_alpha_suffix(spec.alpha)}", op, cloud)
     derived = op.apply(fields[args.field])
     out_name = f"{args.field}_d{_alpha_suffix(spec.alpha)}"
     out_fields = dict(fields)
@@ -107,8 +102,7 @@ def cmd_recover(args) -> int:
     material = ElasticMaterial(young=args.young, poisson=args.poisson)
     displacement = np.column_stack([fields[name] for name in wanted])
     index = build_index(cloud)
-    factors = {"eps_factor": args.eps_factor, "neighbor_factor": args.neighbor_factor}
-    ops = gradient_operator(cloud, index, args.r, **factors)
+    ops = gradient_operator(cloud, index, **_operator_kwargs(args))
     result = recover(cloud, index, displacement, material, operators=ops)
     print(
         f"recover: nodes={cloud.n} dim={cloud.dim} "
@@ -141,20 +135,13 @@ def _print_level_entry(name, entry):
 
 def cmd_benchmark(args) -> int:
     problem = get_problem(args.problem)
-    entry = evaluate_level(
-        problem,
-        args.level,
-        kind=args.kind,
-        r=args.r,
-        eps_factor=args.eps_factor,
-        neighbor_factor=args.neighbor_factor,
-        seed=args.seed,
-    )
+    opts = _operator_kwargs(args)
+    entry = evaluate_level(problem, args.level, kind=args.kind, seed=args.seed, **opts)
     _print_level_entry(problem.name, entry)
     doc = {
         "problem": problem.name,
         "kind": args.kind,
-        "operator": operator_settings(args.r, args.eps_factor, args.neighbor_factor),
+        "operator": operator_settings(**opts),
         "levels": [entry],
     }
     if args.report:
@@ -185,11 +172,9 @@ def cmd_convergence(args) -> int:
         args.problem,
         _parse_levels(args.levels),
         kind=args.kind,
-        r=args.r,
-        eps_factor=args.eps_factor,
-        neighbor_factor=args.neighbor_factor,
         seed=args.seed,
         exclude_coarsest=args.exclude_coarsest,
+        **_operator_kwargs(args),
     )
     for entry in report.levels:
         _print_level_entry(report.problem, entry)
@@ -199,6 +184,11 @@ def cmd_convergence(args) -> int:
         write_report(args.report, report)
         print(f"wrote {args.report}")
     return 0
+
+
+def _add_cloud_args(parser):
+    parser.add_argument("--kind", default="structured", help="structured or jittered")
+    parser.add_argument("--seed", type=int, default=0, help="jitter seed")
 
 
 def _add_operator_args(parser):
@@ -240,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="run one benchmark refinement level")
     p.add_argument("--problem", required=True, help="franke, plate, or cantilever")
     p.add_argument("--level", type=int, default=0, help="refinement level")
-    p.add_argument("--kind", default="structured", help="structured or jittered")
-    p.add_argument("--seed", type=int, default=0, help="jitter seed")
+    _add_cloud_args(p)
     p.add_argument("--report", default=None, help="write JSON report here")
     _add_operator_args(p)
     p.set_defaults(func=cmd_benchmark)
@@ -253,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="explicit levels such as 1,2,3, or a count N meaning 0..N-1",
     )
-    p.add_argument("--kind", default="structured", help="structured or jittered")
-    p.add_argument("--seed", type=int, default=0, help="jitter seed")
+    _add_cloud_args(p)
     p.add_argument(
         "--exclude-coarsest",
         action="store_true",

@@ -52,17 +52,14 @@ class ElasticMaterial:
         object.__setattr__(self, "mu", mu)
 
 
-_COMPONENTS = {
-    1: ("xx",),
-    2: ("xx", "xy", "yy"),
-    3: ("xx", "xy", "xz", "yy", "yz", "zz"),
-}
-# row/col of each packed slot, upper triangle by rows
+# row/col of each packed slot, upper triangle by rows: the one packing table
 _SLOTS = {
     1: ((0, 0),),
     2: ((0, 0), (0, 1), (1, 1)),
     3: ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)),
 }
+_COMPONENTS = {d: tuple("xyz"[i] + "xyz"[j] for i, j in s) for d, s in _SLOTS.items()}
+_DIAGONAL = {d: [k for k, (i, j) in enumerate(s) if i == j] for d, s in _SLOTS.items()}
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,7 @@ class SymTensorField:
         return cls(data=data, dim=d)
 
     def trace(self) -> np.ndarray:
-        diag = [self.components.index(c) for c in ("xx", "yy", "zz")[: self.dim]]
-        return np.sum(self.data[:, diag], axis=1)
+        return np.sum(self.data[:, _DIAGONAL[self.dim]], axis=1)
 
 
 def displacement_gradient(
@@ -165,9 +161,8 @@ def stress_from_strain(strain: SymTensorField, material: ElasticMaterial) -> Sym
     """Isotropic Hooke's law sigma = 2 mu eps + lambda tr(eps) I."""
     data = 2.0 * material.mu * strain.data.copy()
     lam_tr = material.lam * strain.trace()
-    comps = strain.components
-    for name in ("xx", "yy", "zz")[: strain.dim]:
-        data[:, comps.index(name)] += lam_tr
+    for slot in _DIAGONAL[strain.dim]:
+        data[:, slot] += lam_tr
     return SymTensorField(data=data, dim=strain.dim)
 
 
@@ -201,9 +196,8 @@ def deviatoric(stress: SymTensorField) -> SymTensorField:
         )
     mean = stress.trace() / 3.0
     data = stress.data.copy()
-    comps = stress.components
-    for name in ("xx", "yy", "zz"):
-        data[:, comps.index(name)] -= mean
+    for slot in _DIAGONAL[3]:
+        data[:, slot] -= mean
     return SymTensorField(data=data, dim=3)
 
 
@@ -213,12 +207,11 @@ def von_mises(stress: SymTensorField) -> np.ndarray:
     Invariant under hydrostatic shifts; equals |sigma_0| for uniaxial
     tension sigma_0.
     """
-    s = deviatoric(stress)
-    comps = s.components
-    sq = np.zeros(s.n)
-    for name in comps:
-        term = s.component(name) ** 2
-        sq += term if name in ("xx", "yy", "zz") else 2.0 * term
+    s = deviatoric(stress).data
+    sq = np.zeros(s.shape[0])
+    for slot in range(s.shape[1]):
+        term = s[:, slot] ** 2
+        sq += term if slot in _DIAGONAL[3] else 2.0 * term
     return np.sqrt(1.5 * sq)
 
 

@@ -128,7 +128,8 @@ def write_field_csv(path, cloud: PointCloud, fields: Mapping | None = None) -> N
     Scalar fields map to one column; vector fields expand with axis
     suffixes (ux, uy, ...); symmetric tensor fields expand in the fixed
     component order xx, xy[, xz], yy[, yz, zz] prefixed by the field name.
-    Values use shortest round-trip float formatting.
+    Values use shortest round-trip float formatting; header names are
+    quoted where CSV requires it, so any name reads back unchanged.
     """
     fields = dict(fields or {})
     columns: list[tuple[str, np.ndarray]] = [
@@ -142,7 +143,7 @@ def write_field_csv(path, cloud: PointCloud, fields: Mapping | None = None) -> N
             raise ValueError(f"duplicate output column {name!r}")
         seen.add(name)
     with open(path, "w", newline="") as handle:
-        handle.write(",".join(name for name, _ in columns) + "\n")
+        csv.writer(handle, lineterminator="\n").writerow(name for name, _ in columns)
         for i in range(cloud.n):
             handle.write(
                 ",".join(repr(float(col[i])) for _, col in columns) + "\n"
@@ -183,6 +184,8 @@ def _parse_nodes_v2(lines, start, end, path):
             raise ParseError(path, lineno + 1, "node line needs tag x y z")
         tags.append(int(parts[0]))
         coords.append([float(v) for v in parts[1:4]])
+    if start + 2 + count < end:
+        raise ParseError(path, start + 3 + count, "node section longer than declared")
     return tags, coords
 
 
@@ -217,6 +220,8 @@ def _parse_nodes_v4(lines, start, end, path):
             coords.append([float(v) for v in parts[:3]])
         pos += in_block
         tags.extend(block_tags)
+    if pos < end:
+        raise ParseError(path, pos + 1, "node section longer than declared")
     if len(tags) != num_nodes:
         raise ParseError(
             path, start + 2, f"declared {num_nodes} nodes, found {len(tags)}"
@@ -230,7 +235,8 @@ def read_msh_nodes(path) -> tuple[PointCloud, dict[int, int]]:
     Element data and physical groups are ignored. Node tags are remapped to
     dense ids 0..n-1 in file order; the returned dict maps original tag to
     dense id. Trailing all-zero coordinate columns are dropped to infer the
-    dimension (a flat mesh in the xy plane reads back as 2-d).
+    dimension (a flat mesh in the xy plane reads back as 2-d). The node
+    section must hold exactly the nodes it declares.
     """
     lines = _msh_lines(path)
     fmt_start, _ = _find_section(lines, "MeshFormat", path)

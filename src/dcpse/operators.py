@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,8 +77,15 @@ def multi_index_order(alpha) -> int:
     return int(sum(alpha))
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _validate_alpha(alpha) -> tuple[int, ...]:
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(_integer("alpha component", a) for a in alpha)
     if len(alpha) not in (1, 2, 3):
         raise ValueError(f"multi-index must have 1 to 3 components, got {alpha}")
     if any(a < 0 for a in alpha):
@@ -99,10 +107,10 @@ class OperatorSpec:
         Approximation order; polynomials up to degree |alpha| + r - 1 are
         reproduced exactly. Default 2.
     eps_factor : float
-        Kernel width as a multiple of the local average spacing. Default 1.0.
+        Kernel width, a finite multiple of the local average spacing. Default 1.0.
     neighbor_factor : float
         Support size as a multiple of the basis size l (k = ceil of it),
-        at least 1.0. Default 2.0.
+        finite and at least 1.0. Default 2.0.
     max_growth_attempts : int
         How many times an ill-conditioned support may be regrown by 1.5x
         before the node is reported as failed. Default 5.
@@ -120,20 +128,23 @@ class OperatorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _validate_alpha(self.alpha))
-        if self.r < 1:
+        if _integer("approximation order r", self.r) < 1:
             raise ValueError(f"approximation order r must be >= 1, got {self.r}")
         if multi_index_order(self.alpha) + self.r - 1 > _MAX_BASIS_DEGREE:
             raise ValueError(
                 f"|alpha| + r - 1 = {multi_index_order(self.alpha) + self.r - 1} "
                 f"exceeds the supported maximum degree {_MAX_BASIS_DEGREE}"
             )
-        if not self.eps_factor > 0:
-            raise ValueError(f"eps_factor must be positive, got {self.eps_factor}")
-        if not self.neighbor_factor >= 1.0:
+        if not 0 < self.eps_factor < math.inf:
             raise ValueError(
-                f"neighbor_factor must be at least 1.0, got {self.neighbor_factor}"
+                f"eps_factor must be positive and finite, got {self.eps_factor}"
             )
-        if self.max_growth_attempts < 0:
+        if not 1.0 <= self.neighbor_factor < math.inf:
+            raise ValueError(
+                f"neighbor_factor must be finite and at least 1.0, "
+                f"got {self.neighbor_factor}"
+            )
+        if _integer("max_growth_attempts", self.max_growth_attempts) < 0:
             raise ValueError("max_growth_attempts must be non-negative")
         if not self.cond_threshold > 0:
             raise ValueError("cond_threshold must be positive")
@@ -167,7 +178,7 @@ def monomial_basis(alpha, r: int, d: int | None = None) -> list[tuple[int, ...]]
     When given, `d` must agree with the dimension implied by alpha.
     """
     alpha = _validate_alpha(alpha)
-    if r < 1:
+    if _integer("approximation order r", r) < 1:
         raise ValueError(f"approximation order r must be >= 1, got {r}")
     if d is not None and d != len(alpha):
         raise ValueError(
@@ -207,20 +218,11 @@ class MomentSystem:
     """
 
     basis: list[tuple[int, ...]]
-    scaled_offsets: np.ndarray
     V: np.ndarray
     E: np.ndarray
     A: np.ndarray
     b: np.ndarray
     eps: float
-
-    @property
-    def k(self) -> int:
-        return self.V.shape[0]
-
-    @property
-    def l(self) -> int:
-        return self.V.shape[1]
 
 
 def _basis_matrix(scaled: np.ndarray, chain) -> np.ndarray:
@@ -250,13 +252,13 @@ def _rhs(basis: list[tuple[int, ...]], alpha: tuple[int, ...]) -> np.ndarray:
 
 def _assemble(offsets: np.ndarray, eps: np.ndarray, chain):
     """Stacked moment matrices from center-minus-neighbor offsets (m, k, d)
-    and kernel widths (m,): returns scaled offsets, V (m, k, l), E (m, k)
-    and A = B^T B (m, l, l)."""
+    and kernel widths (m,): returns V (m, k, l), E (m, k) and
+    A = B^T B (m, l, l)."""
     scaled = offsets / eps[:, None, None]
     V = _basis_matrix(scaled, chain)
     E = np.exp(-0.5 * np.sum(scaled**2, axis=2))
     B = E[..., None] * V
-    return scaled, V, E, np.matmul(B.transpose(0, 2, 1), B)
+    return V, E, np.matmul(B.transpose(0, 2, 1), B)
 
 
 def _solve(
@@ -283,7 +285,6 @@ def _solve(
                 if np.isfinite(cond[i])
                 else "moment matrix is numerically singular"
             )
-        solve = functools.partial(np.linalg.solve, A[live])
     else:
         cond = np.full(m, np.inf)
         _, s, vt = np.linalg.svd(E[..., None] * V, full_matrices=False)
@@ -292,8 +293,7 @@ def _solve(
         for i in np.flatnonzero(~live).tolist():
             why[i] = "moment matrix is numerically zero"
         inv_s2 = np.divide(1.0, s**2, out=np.zeros_like(s), where=keep)
-        pinv = np.matmul(vt.transpose(0, 2, 1) * inv_s2[:, None, :], vt)
-        solve = functools.partial(np.matmul, pinv[live])  # A^+ = V S^-2 V^T
+        pinv = np.matmul(vt.transpose(0, 2, 1) * inv_s2[:, None, :], vt)[live]
     A = A[live]
     coeffs = np.full((rhs.shape[1], m, l, 1), np.nan)
     ok = np.ones(A.shape[0], dtype=bool)
@@ -302,7 +302,7 @@ def _solve(
     # multi-target build is bit-identical to single-target builds
     for j, col in enumerate(rhs.T):
         b = np.broadcast_to(col[:, None], A.shape[:2] + (1,))
-        a = solve(b)
+        a = np.linalg.solve(A, b) if k >= l else np.matmul(pinv, b)  # A^+ = V S^-2 V^T
         res = (A @ a - b)[..., 0]
         resid = np.sqrt(np.sum(res * res, axis=1))
         bound = _RESIDUAL_TOL * (1.0 + math.sqrt(float(col @ col)))
@@ -353,13 +353,9 @@ def assemble_moment_system(
             f"{l} basis moments"
         )
     offsets = cloud.coords[neighbors.node] - cloud.coords[neighbors.ids]
-    scaled, V, E, A = (
-        x[0] for x in _assemble(offsets[None], np.array([float(eps)]), chain)
-    )
+    V, E, A = (x[0] for x in _assemble(offsets[None], np.array([float(eps)]), chain))
     b = _rhs(basis, spec.alpha)
-    return MomentSystem(
-        basis=basis, scaled_offsets=scaled, V=V, E=E, A=A, b=b, eps=float(eps)
-    )
+    return MomentSystem(basis=basis, V=V, E=E, A=A, b=b, eps=float(eps))
 
 
 def solve_kernel_coefficients(
@@ -474,7 +470,7 @@ def _solve_block(
     nodes, ids = nodes[~twin], ids[~twin]
     offsets = cloud.coords[nodes, None] - cloud.coords[ids]  # center minus neighbor
     eps = spec.eps_factor * np.mean(np.sum(np.abs(offsets), axis=2), axis=1)
-    _, V, E, A = _assemble(offsets, eps, _basis_cached(spec.alpha, spec.r)[1])
+    V, E, A = _assemble(offsets, eps, _basis_cached(spec.alpha, spec.r)[1])
     cond, coeffs, why = _solve(V, E, A, rhs, spec.cond_threshold)
     rows = nodes.tolist()
     retry = {rows[i]: str(IllConditionedNodeError(rows[i], w)) for i, w in why.items()}

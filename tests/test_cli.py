@@ -85,6 +85,16 @@ class TestDerive:
             "error: multi-index (1, 0, 0) does not match cloud dimension 2\n"
         )
 
+    @pytest.mark.parametrize("flag", ["--eps-factor", "--neighbor-factor"])
+    def test_infinite_factor_is_usage_error(self, tmp_path, quad_csv, capsys, flag):
+        path, _ = quad_csv
+        code = run(
+            ["derive", "--input", path, "--field", "f", "--alpha", "1,0", flag,
+             "inf", "--output", str(tmp_path / "o.csv")]
+        )
+        assert code == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path):
         assert run(
             ["derive", "--input", str(tmp_path / "absent.csv"), "--field", "f",

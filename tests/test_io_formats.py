@@ -147,6 +147,19 @@ class TestCsvWrite:
         with pytest.raises(ValueError, match="duplicate"):
             write_field_csv(tmp_path / "out.csv", cloud, {"u": u, "ux": ux})
 
+    def test_header_names_round_trip(self, tmp_path):
+        cloud = jittered_cloud(2, 4, seed=5)
+        fields = {"a,b": np.linspace(0, 1, cloud.n), 'say "hi"': np.arange(cloud.n)}
+        path = tmp_path / "quoted.csv"
+        write_field_csv(path, cloud, fields)
+        back, got = read_points_csv(path)
+        assert np.array_equal(back.coords, cloud.coords)
+        assert list(got) == ["a,b", 'say "hi"']
+        for name, values in fields.items():
+            assert np.array_equal(got[name], values)
+        write_field_csv(path, cloud, {"f": fields["a,b"]})  # plain names stay bare
+        assert path.read_text().splitlines()[0] == "x,y,f"
+
     def test_deterministic_bytes(self, tmp_path):
         cloud = jittered_cloud(2, 5, seed=3)
         fields = {"f": np.linspace(0, 1, cloud.n)}
@@ -244,12 +257,55 @@ class TestMshRead:
         with pytest.raises(ParseError):
             read_msh_nodes(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (MSH_V2.replace("$Nodes\n3\n", "$Nodes\n2\n"), 8),
+            (MSH_V4.replace("$EndNodes", "0.5 0.5 0.0\n$EndNodes"), 16),
+        ],
+        ids=["v2", "v4"],
+    )
+    def test_lines_beyond_the_declared_nodes_rejected(self, tmp_path, text, line):
+        path = tmp_path / "mesh.msh"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="longer than declared") as err:
+            read_msh_nodes(path)
+        assert err.value.line == line
+
     def test_duplicate_tags_rejected(self, tmp_path):
         text = MSH_V2.replace("20 1.0", "10 1.0")
         path = tmp_path / "mesh.msh"
         path.write_text(text)
         with pytest.raises(ParseError, match="duplicate"):
             read_msh_nodes(path)
+
+
+_V2_HEAD = "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n"
+_V4_TWO_BLOCKS_DECLARED = MSH_V4.replace("2 4 1 7", "2 2 1 3").split("2 1 0 2")[0]
+
+
+@pytest.mark.parametrize(
+    "reader, text, line",
+    [
+        (read_points_csv, "# note\ny,f\n1.0,2.0\n", 2),  # missing x column
+        (read_msh_nodes, _V2_HEAD + "1\n1 0 0 0\n", 4),  # unterminated $Nodes
+        (read_msh_nodes, _V2_HEAD + "2\n10 0 0 0\n20 1.0 0.0\n$EndNodes\n", 7),
+        (read_msh_nodes, MSH_V4.replace("2 4 1 7", "2 4 1"), 5),  # section header
+        (read_msh_nodes, MSH_V4.replace("0 1 0 2", "0 1 2"), 6),  # block header
+        (read_msh_nodes, _V4_TWO_BLOCKS_DECLARED + "$EndNodes\n", 11),  # missing block
+        (read_msh_nodes, MSH_V4.replace("0.5 0.0 0.0", "0.5 0.0"), 10),  # short coords
+        (read_msh_nodes, MSH_V4.replace("2 4 1 7", "2 5 1 7"), 5),  # node count
+        (read_msh_nodes, "$MeshFormat\n2.2\n$EndMeshFormat\n", 2),  # $MeshFormat line
+        (read_msh_nodes, _V2_HEAD + "0\n$EndNodes\n", 4),  # empty node section
+    ],
+)
+def test_input_error_names_its_line(tmp_path, reader, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    assert type(err.value) is ParseError
+    assert err.value.line == line
 
 
 class TestReports:

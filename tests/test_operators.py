@@ -75,6 +75,10 @@ class TestMonomialBasis:
         with pytest.raises(ValueError):
             monomial_basis((-1, 2), 2)
 
+    def test_non_integral_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha component"):
+            monomial_basis((1.5, 0), 2)
+
 
 class TestOperatorSpec:
     def test_sign_convention(self):
@@ -98,6 +102,29 @@ class TestOperatorSpec:
         # degree cap: |alpha| + r - 1 <= 6
         with pytest.raises(ValueError):
             OperatorSpec(alpha=(4, 0), r=4)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"alpha": (1.9, 0)}, "alpha component"),
+            ({"r": 2.0}, "order r"),
+            ({"max_growth_attempts": 1.5}, "max_growth_attempts"),
+            ({"eps_factor": math.inf}, "eps_factor"),
+            ({"neighbor_factor": math.inf}, "neighbor_factor"),
+        ],
+    )
+    def test_rejects_values_it_would_truncate_or_crash_on(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            OperatorSpec(**{"alpha": (1, 0), **kwargs})
+
+    def test_numpy_integers_and_infinite_cond_threshold_accepted(self):
+        spec = OperatorSpec(
+            alpha=(np.int64(1), np.int32(0)),
+            r=np.int64(3),
+            max_growth_attempts=np.int8(2),
+            cond_threshold=math.inf,
+        )
+        assert spec.alpha == (1, 0) and spec.order == 1
 
     def test_defaults(self):
         spec = OperatorSpec(alpha=(1,))
