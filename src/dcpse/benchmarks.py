@@ -26,7 +26,7 @@ import numpy as np
 
 from .cloud import PointCloud, SpatialIndex, build_index, normalized_spacing
 from .elasticity import ElasticMaterial, recover
-from .operators import StencilOperator, gradient_operator, verify_moments
+from .operators import StencilOperator, _integer, gradient_operator, verify_moments
 
 _SERIES_TOL = 1e-14
 _JITTER_FRACTION = 0.25
@@ -342,13 +342,12 @@ def operator_diagnostics(
     ops: tuple[StencilOperator, ...], cloud: PointCloud
 ) -> dict[str, float]:
     """Largest condition estimate, moment residual and support size of ops."""
-    max_cond = max(float(np.max(op.condition)) for op in ops)
-    max_resid = max(float(np.max(verify_moments(op, cloud))) for op in ops)
-    max_support = max(int(np.max(op.support_size)) for op in ops)
     return {
-        "max_condition": max_cond,
-        "max_moment_residual": max_resid,
-        "max_support": max_support,
+        "max_condition": max(float(np.max(op.condition)) for op in ops),
+        "max_moment_residual": max(
+            float(np.max(verify_moments(op, cloud))) for op in ops
+        ),
+        "max_support": max(int(np.max(op.support_size)) for op in ops),
     }
 
 
@@ -472,9 +471,8 @@ def generate_nodes(
 ) -> PointCloud:
     """Benchmark cloud at one refinement level; kind is structured or
     jittered (interior nodes shifted by up to a quarter spacing)."""
-    if isinstance(problem, str):
-        problem = get_problem(problem)
-    if level < 0:
+    problem = get_problem(problem) if isinstance(problem, str) else problem
+    if (level := _integer("refinement level", level)) < 0:
         raise ValueError(f"refinement level must be non-negative, got {level}")
     if kind not in ("structured", "jittered"):
         raise ValueError(f"kind must be 'structured' or 'jittered', got {kind!r}")
@@ -553,9 +551,8 @@ def evaluate_level(
     operators, and returns a metrics entry: node count, normalized
     spacing, per-component NRMSE and max error, and operator diagnostics.
     """
-    if isinstance(problem, str):
-        problem = get_problem(problem)
-    level = int(level)
+    problem = get_problem(problem) if isinstance(problem, str) else problem
+    level = _integer("refinement level", level)
     cloud = generate_nodes(problem, level, kind, seed)
     index = build_index(cloud)
     fields, diagnostics = problem.recovered(
@@ -611,9 +608,8 @@ def convergence_study(
     fitted; `exclude_coarsest` drops the first level from the fit when it
     is still pre-asymptotic. Identical inputs produce identical reports.
     """
-    if isinstance(problem, str):
-        problem = get_problem(problem)
-    levels = [int(lv) for lv in levels]
+    problem = get_problem(problem) if isinstance(problem, str) else problem
+    levels = [_integer("refinement level", lv) for lv in levels]
     if len(levels) < 3:
         raise ValueError(
             f"convergence study needs at least three levels, got {len(levels)}"

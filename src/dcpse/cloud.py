@@ -162,8 +162,8 @@ def _k_nearest_arrays(
     the cloud by default). One batched tree pass: the k + 1 nearest give a
     cutoff; rows whose (k+2)-th nearest is within it (ties) take an inflated
     ball with every node at the k-th distance, the rest their k + 1 nearest.
-    The candidates, padded into one 2-d array, are sorted row by row by
-    (distance, id), the order a brute-force scan gives.
+    The candidates, padded into one 2-d array, are sorted by id, then stably
+    by distance: row by row the (distance, id) order a brute-force scan gives.
     Duplicate detection is left to the caller (a zero first distance),
     keeping per-node failure semantics.
     """
@@ -181,7 +181,7 @@ def _k_nearest_arrays(
     dist, near = index.tree.query(x, k=k + 2)
     cutoffs = dist[:, k] * (1.0 + 1e-12) + 1e-300
     tied = (dist[:, k + 1] <= cutoffs) | (k + 2 > n)
-    balls = index.tree.query_ball_point(x[tied], r=cutoffs[tied])
+    balls = index.tree.query_ball_point(x[tied], r=cutoffs[tied], return_sorted=False)
     sizes = np.full(nodes.size, k + 1)
     sizes[tied] = list(map(len, balls))
     # pad each row with its own center, which is excluded below anyway
@@ -189,9 +189,10 @@ def _k_nearest_arrays(
     cand[:, : k + 1] = np.where(tied[:, None], nodes[:, None], near[:, : k + 1])
     fill = tied[:, None] & (np.arange(cand.shape[1]) < sizes[:, None])
     cand[fill] = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp)
-    d = np.sqrt(np.sum((coords[cand] - x[:, None]) ** 2, axis=2))
+    cand.sort(axis=1)
+    d = np.sqrt(sum((coords[cand, j] - x[:, j, None]) ** 2 for j in range(cloud.dim)))
     d[cand == nodes[:, None]] = np.inf
-    order = np.lexsort((cand, d))[:, :k]
+    order = np.argsort(d, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(cand, order, 1), np.take_along_axis(d, order, 1)
 
 

@@ -58,8 +58,7 @@ def read_points_csv(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
             rows.append((lineno, cells))
     if not rows:
         raise ParseError(path, None, "no header row found")
-    header_line, header = rows[0]
-    names = [name for name in header]
+    header_line, names = rows[0]
     if len(set(names)) != len(names):
         raise ParseError(path, header_line, "duplicate column names")
     dim = 0
@@ -141,13 +140,13 @@ def write_field_csv(path, cloud: PointCloud, fields: Mapping | None = None) -> N
     for name, _ in columns:
         if name in seen:
             raise ValueError(f"duplicate output column {name!r}")
+        if name != name.strip():  # the reader strips header cells
+            raise ValueError(f"output column {name!r} has surrounding whitespace")
         seen.add(name)
+    values = [col.tolist() for _, col in columns]  # float64: repr round-trips
     with open(path, "w", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerow(name for name, _ in columns)
-        for i in range(cloud.n):
-            handle.write(
-                ",".join(repr(float(col[i])) for _, col in columns) + "\n"
-            )
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in zip(*values))
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +172,7 @@ def _find_section(lines, name, path):
 
 def _parse_nodes_v2(lines, start, end, path):
     count = int(lines[start + 1])
-    tags = []
-    coords = []
+    tags, coords = [], []
     for offset in range(count):
         lineno = start + 2 + offset
         if lineno >= end:
@@ -208,18 +206,14 @@ def _parse_nodes_v4(lines, start, end, path):
                 path, pos + 1, "expected entityDim entityTag parametric numNodes"
             )
         in_block = int(block[3])
-        pos += 1
-        block_tags = []
-        for i in range(in_block):
-            block_tags.append(int(lines[pos + i]))
-        pos += in_block
+        tags.extend(int(line) for line in lines[pos + 1 : pos + 1 + in_block])
+        pos += 1 + in_block
         for i in range(in_block):
             parts = lines[pos + i].split()
             if len(parts) < 3:
                 raise ParseError(path, pos + i + 1, "node line needs x y z")
             coords.append([float(v) for v in parts[:3]])
         pos += in_block
-        tags.extend(block_tags)
     if pos < end:
         raise ParseError(path, pos + 1, "node section longer than declared")
     if len(tags) != num_nodes:

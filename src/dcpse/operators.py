@@ -22,6 +22,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -266,18 +267,26 @@ def _solve(
 ):
     """Solve A a = b at every node of a stack, for each column b of rhs (l, c).
 
-    For k >= l the 1-norm condition estimate must be finite and at most
-    cond_threshold, and the passing systems are solved by LU. For k < l
-    (the whole cloud is smaller than the basis) there is no gate and the
-    minimal-norm solution comes from the SVD of B. Either way each column
-    gets one solve, and |A a - b| <= 1e-10 (1 + |b|) is enforced per
-    column. Returns the condition estimates (m,), inf for k < l, the
-    coefficients (c, m, l, 1), and the failure detail of each failed row.
+    For k >= l each A is inverted once: the 1-norm condition estimate
+    |A| |A^-1| (the bits of np.linalg.cond(A, 1)) must be finite and at
+    most cond_threshold, and a = A^-1 b. For k < l (the whole cloud is
+    smaller than the basis) there is no gate and a = A^+ b, the minimal-norm
+    solution from the SVD of B. Either way |A a - b| <= 1e-10 (1 + |b|) is
+    enforced per column. Returns the condition estimates (m,), inf for k < l,
+    the coefficients (c, m, l, 1), and the failure detail of each failed row.
     """
     m, k, l = V.shape
     why: dict[int, str] = {}
     if k >= l:
-        cond = np.linalg.cond(A, 1)
+        try:
+            inv = np.linalg.inv(A)
+        except np.linalg.LinAlgError:  # one singular A fails the stack: one by one,
+            inv = np.full_like(A, np.inf)  # a singular A keeps cond = inf
+            for i in range(m):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    inv[i] = np.linalg.inv(A[i : i + 1])[0]
+        with np.errstate(all="ignore"):  # the norms np.linalg.cond(A, 1) takes
+            cond = np.linalg.norm(A, 1, (1, 2)) * np.linalg.norm(inv, 1, (1, 2))
         live = np.isfinite(cond) & (cond <= cond_threshold)
         for i in np.flatnonzero(~live).tolist():
             why[i] = (
@@ -293,8 +302,8 @@ def _solve(
         for i in np.flatnonzero(~live).tolist():
             why[i] = "moment matrix is numerically zero"
         inv_s2 = np.divide(1.0, s**2, out=np.zeros_like(s), where=keep)
-        pinv = np.matmul(vt.transpose(0, 2, 1) * inv_s2[:, None, :], vt)[live]
-    A = A[live]
+        inv = np.matmul(vt.transpose(0, 2, 1) * inv_s2[:, None, :], vt)  # V S^-2 V^T
+    A, inv = A[live], inv[live]
     coeffs = np.full((rhs.shape[1], m, l, 1), np.nan)
     ok = np.ones(A.shape[0], dtype=bool)
     rows = np.flatnonzero(live)
@@ -302,7 +311,7 @@ def _solve(
     # multi-target build is bit-identical to single-target builds
     for j, col in enumerate(rhs.T):
         b = np.broadcast_to(col[:, None], A.shape[:2] + (1,))
-        a = np.linalg.solve(A, b) if k >= l else np.matmul(pinv, b)  # A^+ = V S^-2 V^T
+        a = np.matmul(inv, b)
         res = (A @ a - b)[..., 0]
         resid = np.sqrt(np.sum(res * res, axis=1))
         bound = _RESIDUAL_TOL * (1.0 + math.sqrt(float(col @ col)))

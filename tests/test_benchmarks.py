@@ -382,6 +382,18 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate_nodes("franke", -1)
 
+    def test_non_integer_level_rejected(self):
+        with pytest.raises(ValueError, match="level must be an integer, got 1.5"):
+            generate_nodes("franke", 1.5)
+        with pytest.raises(ValueError, match="got 1.9"):
+            evaluate_level("franke", 1.9)
+        with pytest.raises(ValueError, match="got 2.0"):
+            convergence_study("franke", [0, 1, 2.0])
+
+    def test_numpy_integer_level_accepted(self):
+        assert generate_nodes("franke", np.int64(1)).n == 289
+        assert type(evaluate_level("franke", np.int32(0))["level"]) is int
+
 
 class TestFitSlope:
     def test_recovers_known_power(self):

@@ -168,6 +168,33 @@ class TestCsvWrite:
         write_field_csv(p2, cloud, fields)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bytes_equal_per_cell_repr(self, tmp_path):
+        special = [-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e22, 123456789.123]
+        cloud = PointCloud(np.array([[v, -v] for v in special]))
+        values = np.array(special)
+        fields = {
+            "s": values[::-1],
+            "v": np.column_stack([values, values * 3.0]),
+            "t": SymTensorField(np.column_stack([values * c for c in (1, -1, 7)]), 2),
+        }
+        path = tmp_path / "out.csv"
+        write_field_csv(path, cloud, fields)
+        columns = [
+            cloud.coords[:, 0], cloud.coords[:, 1], fields["s"],
+            *fields["t"].data.T, *fields["v"].T,
+        ]
+        want = "x,y,s,txx,txy,tyy,vx,vy\n" + "".join(
+            ",".join(repr(float(col[i])) for col in columns) + "\n"
+            for i in range(cloud.n)
+        )
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("name", [" a", "a ", "\ta"])
+    def test_padded_column_name_rejected(self, tmp_path, name):
+        cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="whitespace"):
+            write_field_csv(tmp_path / "out.csv", cloud, {name: np.zeros(2)})
+
 
 MSH_V2 = """$MeshFormat
 2.2 0 8

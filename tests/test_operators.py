@@ -32,6 +32,7 @@ from dcpse.operators import (
     _basis_cached,
     _basis_matrix,
     _rhs,
+    _solve,
     _solve_block,
     kernel_weights,
     multi_index_order,
@@ -264,18 +265,47 @@ class TestMomentSystem:
             assert not copy.flags.c_contiguous
             assert np.array_equal(_basis_matrix(copy, chain), V)
 
-    def test_solve_is_one_lu_solve(self):
-        # the solve stage is one LU solve per right-hand side: no refinement
+    def test_solve_reads_the_inverse(self):
+        # one inverse per node gives both the coefficients A^-1 b and the
+        # condition estimate, with the bits of np.linalg.cond(A, 1)
+        cloud = jittered_cloud(2, 9, seed=3)
+        index = build_index(cloud)
+        spec = OperatorSpec(alpha=(1, 0))
+        op = build_operator(cloud, index, spec)
+        for p in range(cloud.n):
+            ns = k_nearest(index, p, int(op.support_size[p]))
+            system = assemble_moment_system(cloud, ns, spec, average_spacing(cloud, ns))
+            want = np.linalg.inv(system.A[None]) @ system.b[None, :, None]
+            got = solve_kernel_coefficients(system, node=p)
+            assert np.array_equal(got, want[0, :, 0]), p
+            assert op.condition[p] == np.linalg.cond(system.A, 1), p
+
+    def test_singular_row_in_a_stack(self):
+        # np.linalg.inv raises for the whole stack when one matrix is
+        # singular; the others still get the bits they get as a batch of one
         cloud = jittered_cloud(2, 9, seed=3)
         index = build_index(cloud)
         spec = OperatorSpec(alpha=(1, 0))
         k = math.ceil(spec.neighbor_factor * len(monomial_basis(spec.alpha, spec.r)))
-        for p in range(cloud.n):
+        good = []
+        for p in (10, 40):
             ns = k_nearest(index, p, k)
-            system = assemble_moment_system(cloud, ns, spec, average_spacing(cloud, ns))
-            want = np.linalg.solve(system.A[None], system.b[None, :, None])
-            got = solve_kernel_coefficients(system, node=p)
-            assert np.array_equal(got, want[0, :, 0]), p
+            eps = average_spacing(cloud, ns)
+            good.append(assemble_moment_system(cloud, ns, spec, eps))
+        singular = good[0].A.copy()
+        singular[-1] = singular[:, -1] = 0.0  # an exactly zero pivot
+        rows = (good[0], good[0], good[1])  # the middle A is replaced below
+        V = np.stack([s.V for s in rows])
+        E = np.stack([s.E for s in rows])
+        A = np.stack([good[0].A, singular, good[1].A])
+        rhs = good[0].b[:, None]
+        cond, coeffs, why = _solve(V, E, A, rhs, 1e12)
+        assert why == {1: "moment matrix is numerically singular"}
+        assert cond[1] == np.inf and np.all(np.isnan(coeffs[:, 1]))
+        for i, s in ((0, good[0]), (2, good[1])):
+            alone_cond, alone, _ = _solve(s.V[None], s.E[None], s.A[None], rhs, 1e12)
+            assert cond[i] == alone_cond[0]
+            assert np.array_equal(coeffs[:, i], alone[:, 0])
 
     def test_insufficient_support(self):
         cloud, ns = self._symmetric_pair()
