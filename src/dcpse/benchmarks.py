@@ -18,6 +18,7 @@ the normalized RMS error against the normalized spacing.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -158,23 +159,21 @@ class CantileverParams:
         return ElasticMaterial(young=self.young, poisson=self.poisson)
 
 
-def _section_series(x, y, p: CantileverParams, power: int, trig: str, hyp: str):
+def _section_series(x, y, p: CantileverParams, power: int, trig: Callable, hyp: Callable):
     """Accumulate sum_n (-1)^n / n^power trig(n pi x / a) hyp(n pi y / a)
     / cosh(n pi b / a), capped at max_terms with early exit once two
     consecutive terms drop below 1e-14 of the running magnitude."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     acc = np.zeros(np.broadcast(x, y).shape)
-    trig_f = np.sin if trig == "sin" else np.cos
-    hyp_f = np.sinh if hyp == "sinh" else np.cosh
     small_run = 0
     for n in range(1, p.max_terms + 1):
         w = n * math.pi / p.a
         term = (
             (-1.0) ** n
             / n**power
-            * trig_f(w * x)
-            * hyp_f(w * y)
+            * trig(w * x)
+            * hyp(w * y)
             / math.cosh(w * p.b)
         )
         acc = acc + term
@@ -197,7 +196,7 @@ def cantilever_displacement(coords, params: CantileverParams | None = None):
     c = p.force / (p.young * p.inertia)
     ux = -c * nu * x * y * z
     uy = c * (nu * z * (x**2 - y**2) / 2.0 - z**3 / 6.0)
-    series = _section_series(x, y, p, power=3, trig="cos", hyp="sinh")
+    series = _section_series(x, y, p, power=3, trig=np.cos, hyp=np.sinh)
     uz = c * (
         y * (nu * x**2 + z**2) / 2.0
         + nu * y**3 / 6.0
@@ -221,12 +220,12 @@ def cantilever_stress(coords, params: CantileverParams | None = None):
         f_over_i
         * (2.0 * p.a**2 / math.pi**2)
         * nu_fac
-        * _section_series(x, y, p, power=2, trig="sin", hyp="sinh")
+        * _section_series(x, y, p, power=2, trig=np.sin, hyp=np.sinh)
     )
     syz = f_over_i * (p.b**2 - y**2) / 2.0 + f_over_i * nu_fac * (
         (3.0 * x**2 - p.a**2) / 6.0
         - (2.0 * p.a**2 / math.pi**2)
-        * _section_series(x, y, p, power=2, trig="cos", hyp="cosh")
+        * _section_series(x, y, p, power=2, trig=np.cos, hyp=np.cosh)
     )
     return {"szz": szz, "sxz": sxz, "syz": syz}
 
@@ -386,7 +385,7 @@ class BenchmarkProblem:
         if self.material is None:
             out = [ops[axis].apply(values) for axis in self.picks]
         else:
-            rec = recover(cloud, index, values, self.material, r=r, operators=ops)
+            rec = recover(cloud, index, values, self.material, operators=ops)
             out = [rec.stress.component(name) for name in self.picks]
         return dict(zip(self.components, out)), operator_diagnostics(ops, cloud)
 
@@ -507,15 +506,7 @@ class ConvergenceReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ConvergenceReport":
-        return cls(
-            problem=doc["problem"],
-            kind=doc["kind"],
-            operator=dict(doc["operator"]),
-            levels=[dict(entry) for entry in doc["levels"]],
-            fit_levels=[int(lv) for lv in doc.get("fit_levels", [])],
-            slopes=dict(doc["slopes"]),
-            slope_residuals=dict(doc.get("slope_residuals", {})),
-        )
+        return cls(**copy.deepcopy(doc))
 
 
 def _loglog_fit(h: np.ndarray, err: np.ndarray) -> tuple[float, float]:

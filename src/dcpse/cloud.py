@@ -199,12 +199,18 @@ def _k_nearest_arrays(
 def average_spacing(cloud: PointCloud, neighbors: NeighborSet) -> float:
     """Mean over the support of the L1 norm of the offsets to the center.
 
-    This is the local spacing measure h(x_p) that scales the kernel width.
+    This is the local spacing measure h(x_p) that scales the kernel width,
+    the builder's spacing on a batch of one.
     """
     if len(neighbors) == 0:
         raise ValueError("cannot measure spacing of an empty neighbor set")
-    offsets = cloud.coords[neighbors.ids] - cloud.coords[neighbors.node]
-    return float(np.mean(np.sum(np.abs(offsets), axis=1)))
+    offsets = cloud.coords[neighbors.node] - cloud.coords[neighbors.ids]
+    return float(_spacing(offsets[None])[0])
+
+
+def _spacing(offsets: np.ndarray) -> np.ndarray:
+    """h(x_p) of many nodes at once: the mean L1 norm of offsets (m, k, d)."""
+    return np.mean(np.sum(np.abs(offsets), axis=2), axis=1)
 
 
 def normalized_spacing(n: int, d: int) -> float:

@@ -15,18 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud, SpatialIndex
-from .operators import StencilOperator, gradient_operator
+from .operators import StencilOperator, _first_partials, gradient_operator
 
 
 def lame_from_young_poisson(young: float, poisson: float) -> tuple[float, float]:
     """Convert (E, nu) to the Lame pair (lambda, mu).
 
     lambda = E nu / ((1 + nu)(1 - 2 nu)), mu = E / (2 (1 + nu)).
-    Requires E > 0 and -1 < nu < 0.5; the incompressible limit nu = 0.5 is
-    rejected because lambda diverges there.
+    Requires 0 < E < inf and -1 < nu < 0.5; the incompressible limit
+    nu = 0.5 is rejected because lambda diverges there.
     """
-    if not young > 0:
-        raise ValueError(f"Young's modulus must be positive, got {young}")
+    if not 0 < young < np.inf:
+        raise ValueError(f"Young's modulus must be positive and finite, got {young}")
     if not -1.0 < poisson < 0.5:
         raise ValueError(
             f"Poisson's ratio must lie in (-1, 0.5), got {poisson}"
@@ -124,13 +124,13 @@ def displacement_gradient(
     index: SpatialIndex,
     displacement: np.ndarray,
     *,
-    r: int = 2,
     operators: tuple[StencilOperator, ...] | None = None,
 ) -> np.ndarray:
     """Nodal displacement gradient G[p, i, j] = d u_i / d x_j.
 
     One shared set of first-partial operators differentiates every
-    component; pass `operators` to reuse stencils across fields.
+    component; pass `operators`, the partials along x, y[, z] in that
+    order, to reuse stencils across fields or to use another order r.
     """
     d = cloud.dim
     u = np.asarray(displacement, dtype=np.float64)
@@ -139,9 +139,12 @@ def displacement_gradient(
             f"expected displacement of shape ({cloud.n}, {d}), got {u.shape}"
         )
     if operators is None:
-        operators = gradient_operator(cloud, index, r)
+        operators = gradient_operator(cloud, index)
     if len(operators) != d:
         raise ValueError(f"need {d} partial operators, got {len(operators)}")
+    for j, (op, alpha) in enumerate(zip(operators, _first_partials(d))):
+        if op.alpha != alpha:
+            raise ValueError(f"operators[{j}] has alpha {op.alpha}, expected {alpha}")
     grad = np.empty((cloud.n, d, d))
     for i in range(d):
         for j in range(d):
@@ -252,7 +255,6 @@ def recover(
     displacement: np.ndarray,
     material: ElasticMaterial,
     *,
-    r: int = 2,
     operators: tuple[StencilOperator, ...] | None = None,
 ) -> RecoveredFields:
     """Recover strain, stress, von Mises, and principal stresses from
@@ -265,7 +267,7 @@ def recover(
     """
     if cloud.dim not in (2, 3):
         raise ValueError("recovery is defined for 2-d and 3-d clouds")
-    grad = displacement_gradient(cloud, index, displacement, r=r, operators=operators)
+    grad = displacement_gradient(cloud, index, displacement, operators=operators)
     strain = strain_from_gradient(grad)
     stress = stress_from_strain(strain, material)
     stress3 = stress if cloud.dim == 3 else plane_strain_embed(stress, material.poisson)

@@ -37,6 +37,7 @@ from .cloud import (
     PointCloud,
     SpatialIndex,
     _k_nearest_arrays,
+    _spacing,
 )
 
 _RESIDUAL_TOL = 1e-10
@@ -96,8 +97,33 @@ def _validate_alpha(alpha) -> tuple[int, ...]:
     return alpha
 
 
+def _check_dim(alpha: tuple[int, ...], cloud: PointCloud) -> None:
+    if len(alpha) != cloud.dim:
+        raise ValueError(
+            f"multi-index {alpha} does not match cloud dimension {cloud.dim}"
+        )
+
+
+def _first_partials(d: int) -> list[tuple[int, ...]]:
+    """The multi-indices of d/dx_0, ..., d/dx_{d-1}, in axis order."""
+    return [tuple(int(j == i) for j in range(d)) for i in range(d)]
+
+
+class _Derivative:
+    """Order and center-value sign of a dataclass with a multi-index `alpha`."""
+
+    @property
+    def order(self) -> int:
+        return multi_index_order(self.alpha)
+
+    @property
+    def sign(self) -> int:
+        """Center-value coupling: +1 for odd |alpha|, -1 for even."""
+        return 1 if self.order % 2 == 1 else -1
+
+
 @dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(_Derivative):
     """Parameters controlling one derivative operator.
 
     Parameters
@@ -150,15 +176,6 @@ class OperatorSpec:
         if not self.cond_threshold > 0:
             raise ValueError("cond_threshold must be positive")
 
-    @property
-    def order(self) -> int:
-        return multi_index_order(self.alpha)
-
-    @property
-    def sign(self) -> int:
-        """Center-value coupling: +1 for odd |alpha|, -1 for even."""
-        return 1 if self.order % 2 == 1 else -1
-
 
 def _grade_tuples(total: int, d: int):
     if d == 1:
@@ -169,22 +186,17 @@ def _grade_tuples(total: int, d: int):
             yield (first,) + rest
 
 
-def monomial_basis(alpha, r: int, d: int | None = None) -> list[tuple[int, ...]]:
+def monomial_basis(alpha, r: int) -> list[tuple[int, ...]]:
     """Monomial multi-indices for the moment system of D^alpha at order r.
 
     Degrees run from alpha_min to |alpha| + r - 1, where alpha_min is 0 for
     odd |alpha| and 1 for even |alpha| (the center coupling of even
     operators cancels constants on its own). Graded order, and within each
     degree the leading component decreases, e.g. (2,0), (1,1), (0,2).
-    When given, `d` must agree with the dimension implied by alpha.
     """
     alpha = _validate_alpha(alpha)
     if _integer("approximation order r", r) < 1:
         raise ValueError(f"approximation order r must be >= 1, got {r}")
-    if d is not None and d != len(alpha):
-        raise ValueError(
-            f"dimension {d} does not match multi-index of length {len(alpha)}"
-        )
     d = len(alpha)
     order = multi_index_order(alpha)
     lo = 0 if order % 2 == 1 else 1
@@ -238,7 +250,7 @@ def _basis_matrix(scaled: np.ndarray, chain) -> np.ndarray:
     return V
 
 
-def _rhs(basis: list[tuple[int, ...]], alpha: tuple[int, ...]) -> np.ndarray:
+def _rhs(basis: tuple[tuple[int, ...], ...], alpha: tuple[int, ...]) -> np.ndarray:
     b = np.zeros(len(basis))
     sign = -1.0 if multi_index_order(alpha) % 2 == 1 else 1.0
     b[basis.index(alpha)] = sign * math.prod(math.factorial(a) for a in alpha)
@@ -348,13 +360,8 @@ def assemble_moment_system(
     """
     if not eps > 0:
         raise ValueError(f"kernel width eps must be positive, got {eps}")
-    if len(alpha := spec.alpha) != cloud.dim:
-        raise ValueError(
-            f"multi-index {alpha} has {len(alpha)} components "
-            f"but the cloud is {cloud.dim}-dimensional"
-        )
-    basis_t, chain = _basis_cached(tuple(spec.alpha), spec.r)
-    basis = list(basis_t)
+    _check_dim(spec.alpha, cloud)
+    basis, chain = _basis_cached(spec.alpha, spec.r)
     k, l = len(neighbors), len(basis)
     if k < l and not allow_underdetermined:
         raise InsufficientSupportError(
@@ -364,7 +371,7 @@ def assemble_moment_system(
     offsets = cloud.coords[neighbors.node] - cloud.coords[neighbors.ids]
     V, E, A = (x[0] for x in _assemble(offsets[None], np.array([float(eps)]), chain))
     b = _rhs(basis, spec.alpha)
-    return MomentSystem(basis=basis, V=V, E=E, A=A, b=b, eps=float(eps))
+    return MomentSystem(basis=list(basis), V=V, E=E, A=A, b=b, eps=float(eps))
 
 
 def solve_kernel_coefficients(
@@ -394,7 +401,7 @@ def kernel_weights(system: MomentSystem, coeffs: np.ndarray, order: int) -> np.n
 
 
 @dataclass(frozen=True)
-class StencilOperator:
+class StencilOperator(_Derivative):
     """A derivative operator assembled over every node of one cloud.
 
     The CSR matrix is the only store of the stencils: row p holds the
@@ -434,14 +441,6 @@ class StencilOperator:
     def weights(self) -> list[np.ndarray]:
         return self._rows(self._matrix.data)
 
-    @property
-    def order(self) -> int:
-        return multi_index_order(self.alpha)
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.order % 2 == 1 else -1
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         return apply(self, values)
 
@@ -478,7 +477,7 @@ def _solve_block(
     }
     nodes, ids = nodes[~twin], ids[~twin]
     offsets = cloud.coords[nodes, None] - cloud.coords[ids]  # center minus neighbor
-    eps = spec.eps_factor * np.mean(np.sum(np.abs(offsets), axis=2), axis=1)
+    eps = spec.eps_factor * _spacing(offsets)
     V, E, A = _assemble(offsets, eps, _basis_cached(spec.alpha, spec.r)[1])
     cond, coeffs, why = _solve(V, E, A, rhs, spec.cond_threshold)
     rows = nodes.tolist()
@@ -507,7 +506,7 @@ def _build_many(
     """
     if not np.array_equal(index.cloud.coords, cloud.coords):
         raise ValueError("spatial index was built for a different cloud")
-    basis = monomial_basis(alphas[0], spec.r)
+    basis = _basis_cached(alphas[0], spec.r)[0]
     rhs = np.column_stack([_rhs(basis, a) for a in alphas])
     l = len(basis)
     n = cloud.n
@@ -588,10 +587,7 @@ def build_operator(
     the bits the per-node API (assemble_moment_system,
     solve_kernel_coefficients, kernel_weights) gives at that node.
     """
-    if len(spec.alpha) != cloud.dim:
-        raise ValueError(
-            f"multi-index {spec.alpha} does not match cloud dimension {cloud.dim}"
-        )
+    _check_dim(spec.alpha, cloud)
     return _build_many(cloud, index, [spec.alpha], spec)[0]
 
 
@@ -613,8 +609,7 @@ def gradient_operator(
     calls. `threads` is checked to be positive and otherwise unused.
     """
     _resolve_threads(threads)
-    d = cloud.dim
-    alphas = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+    alphas = _first_partials(cloud.dim)
     spec = OperatorSpec(
         alpha=alphas[0],
         r=r,
@@ -652,8 +647,8 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     """
     if cloud.n != op.n or cloud.dim != op.dim:
         raise ValueError("operator was built for a different cloud")
-    basis, chain = _basis_cached(tuple(op.alpha), op.r)
-    target = _rhs(list(basis), op.alpha)
+    basis, chain = _basis_cached(op.alpha, op.r)
+    target = _rhs(basis, op.alpha)
     ids, w, ptr = op._matrix.indices, op._matrix.data, op._matrix.indptr
     starts, counts = ptr[:-1], np.diff(ptr) - 1  # rows without the center entry
     out = np.empty(op.n)

@@ -296,6 +296,10 @@ class TestMetrics:
         with pytest.raises(ValueError):
             nrmse(np.ones(3), np.ones(4))
 
+    def test_linf_length_mismatch(self):
+        with pytest.raises(ValueError, match="equal length"):
+            linf(np.ones(3), np.ones(4))
+
     @given(
         scale=st.floats(0.01, 1e6),
         shift=st.floats(-1e6, 1e6),

@@ -203,6 +203,20 @@ class TestRecover:
              "--output", str(tmp_path / "o.csv")]
         ) == 2
 
+    def test_infinite_young_is_usage_error(self, tmp_path, capsys):
+        cloud = jittered_cloud(2, 5, seed=1)
+        x = cloud.coords[:, 0]
+        path = make_csv(tmp_path / "d.csv", cloud, {"ux": 1e-3 * x, "uy": 0.0 * x})
+        out = tmp_path / "o.csv"
+        assert run(
+            ["recover", "--input", path, "--young", "inf", "--poisson", "0.3",
+             "--output", str(out)]
+        ) == 2
+        assert capsys.readouterr().err == (
+            "error: Young's modulus must be positive and finite, got inf\n"
+        )
+        assert not out.exists()
+
     def test_1d_cloud_rejected(self, tmp_path, capsys):
         cloud = PointCloud(np.linspace(0, 1, 10)[:, None])
         path = make_csv(tmp_path / "d.csv", cloud, {"ux": np.zeros(10)})

@@ -9,6 +9,7 @@ from dcpse import (
     DuplicateNodeError,
     EmptyCloudError,
     InsufficientNodesError,
+    NeighborSet,
     PointCloud,
     average_spacing,
     build_index,
@@ -52,6 +53,14 @@ class TestPointCloud:
     def test_1d_column_vector(self):
         cloud = PointCloud(np.array([[0.0], [0.5], [1.0]]))
         assert cloud.dim == 1
+
+    def test_flat_coords_are_one_column(self):
+        cloud = PointCloud([0.0, 0.5, 1.0])
+        assert cloud.coords.shape == (3, 1)
+
+    def test_three_dimensional_array_rejected(self):
+        with pytest.raises(ValueError, match="2-d array"):
+            PointCloud(np.zeros((3, 2, 1)))
 
 
 class TestBuildIndex:
@@ -114,6 +123,10 @@ class TestKNearest:
             k_nearest(index, 2, 2)
         assert err.value.node == 2
         assert err.value.twin == 0
+
+    def test_neighbor_set_shapes_checked(self):
+        with pytest.raises(ValueError, match="equal-length 1-d"):
+            NeighborSet(node=0, ids=[1, 2], distances=[1.0])
 
     def test_neighbor_set_invariants(self):
         cloud = jittered_cloud(2, 8, seed=1)
@@ -211,6 +224,12 @@ class TestAverageSpacing:
         cloud = PointCloud(coords)
         ns = k_nearest(build_index(cloud), 0, 4)
         assert average_spacing(cloud, ns) == pytest.approx(s)
+
+    def test_empty_neighbor_set_rejected(self):
+        cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        empty = NeighborSet(node=0, ids=[], distances=[])
+        with pytest.raises(ValueError, match="empty neighbor set"):
+            average_spacing(cloud, empty)
 
     def test_single_neighbor(self):
         cloud = PointCloud(np.array([[0.0, 0.0], [0.25, -0.5]]))

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from dcpse import (
     ElasticMaterial,
+    OperatorSpec,
     PointCloud,
     SymTensorField,
     build_index,
+    build_operator,
     deviatoric,
     displacement_gradient,
     lame_from_young_poisson,
@@ -34,7 +36,10 @@ class TestLame:
         assert lam == pytest.approx(60e6 * 0.45 / (1.45 * 0.1), rel=1e-14)
         assert mu == pytest.approx(60e6 / 2.9, rel=1e-14)
 
-    @pytest.mark.parametrize("young,poisson", [(0.0, 0.3), (-1e9, 0.3), (1e9, 0.5), (1e9, -1.0), (1e9, 0.7)])
+    @pytest.mark.parametrize(
+        "young,poisson",
+        [(0.0, 0.3), (-1e9, 0.3), (1e9, 0.5), (1e9, -1.0), (1e9, 0.7), (np.inf, 0.3)],
+    )
     def test_invalid_parameters(self, young, poisson):
         with pytest.raises(ValueError):
             lame_from_young_poisson(young, poisson)
@@ -95,6 +100,18 @@ class TestSymTensorField:
         with pytest.raises(ValueError):
             SymTensorField(np.zeros((3, 3)), dim=3)
 
+    def test_dimension_checked(self):
+        with pytest.raises(ValueError, match="dimension must be 1, 2, or 3"):
+            SymTensorField(np.zeros((3, 1)), dim=4)
+
+    @pytest.mark.parametrize(
+        "shape, match",
+        [((3, 2, 3), "expected shape"), ((3, 3), "expected shape"), ((3, 4, 4), "dimension")],
+    )
+    def test_from_matrices_shape_checked(self, shape, match):
+        with pytest.raises(ValueError, match=match):
+            SymTensorField.from_matrices(np.zeros(shape))
+
 
 class TestGradientChain:
     def test_linear_displacement_exact_gradient(self):
@@ -122,6 +139,30 @@ class TestGradientChain:
         assert strain.component("xx")[0] == 2.0
         assert strain.component("xy")[0] == 4.0
         assert strain.component("yy")[0] == 7.0
+
+    def test_strain_shape_checked(self):
+        with pytest.raises(ValueError, match="expected shape"):
+            strain_from_gradient(np.zeros((3, 2, 3)))
+
+    @pytest.mark.parametrize(
+        "alphas, match",
+        [
+            ([(1, 0)], "need 2 partial operators, got 1"),
+            ([(0, 1), (1, 0)], r"operators\[0\] has alpha \(0, 1\), expected"),
+            ([(2, 0), (0, 1)], r"operators\[0\] has alpha \(2, 0\)"),
+            ([(1, 0), (1, 0)], r"operators\[1\] has alpha \(1, 0\), expected \(0, 1\)"),
+        ],
+        ids=["count", "swapped", "second-order", "repeated"],
+    )
+    def test_operators_must_be_first_partials_in_axis_order(self, alphas, match):
+        # wrong operators of the right count gave wrong stress without an error
+        cloud = jittered_cloud(2, 6, seed=2)
+        index = build_index(cloud)
+        ops = tuple(build_operator(cloud, index, OperatorSpec(alpha=a)) for a in alphas)
+        u = np.column_stack([1e-3 * cloud.coords[:, 0], np.zeros(cloud.n)])
+        mat = ElasticMaterial(young=200e9, poisson=0.3)
+        with pytest.raises(ValueError, match=match):
+            recover(cloud, index, u, mat, operators=ops)
 
     def test_displacement_shape_checked(self):
         cloud = jittered_cloud(2, 5, seed=0)
@@ -268,6 +309,11 @@ class TestPrincipal:
         v0 = principal_stresses(stress)
         v1 = principal_stresses(SymTensorField(shifted, dim=2))
         assert np.allclose(v1, v0 + p, rtol=1e-10, atol=1e-6)
+
+    def test_1d_is_the_value_itself(self):
+        stress = SymTensorField(np.array([[2.0], [-1.0]]), dim=1)
+        got = principal_stresses(stress)
+        assert np.array_equal(got, stress.data) and got is not stress.data
 
     def test_known_diagonal(self):
         stress = SymTensorField(np.array([[1.0, 0.0, 0.0, 5.0, 0.0, 3.0]]), dim=3)

@@ -140,6 +140,12 @@ class TestCsvWrite:
         with pytest.raises(ValueError):
             write_field_csv(tmp_path / "out.csv", cloud, {"f": np.zeros(3)})
 
+    def test_tensor_row_count_mismatch_rejected(self, tmp_path):
+        cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        tensor = SymTensorField(np.zeros((3, 3)), dim=2)
+        with pytest.raises(ValueError, match="has 3 rows, cloud has 2"):
+            write_field_csv(tmp_path / "out.csv", cloud, {"s": tensor})
+
     def test_colliding_expanded_names_rejected(self, tmp_path):
         cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]))
         u = np.zeros((2, 2))
@@ -324,6 +330,7 @@ _V4_TWO_BLOCKS_DECLARED = MSH_V4.replace("2 4 1 7", "2 2 1 3").split("2 1 0 2")[
         (read_msh_nodes, MSH_V4.replace("2 4 1 7", "2 5 1 7"), 5),  # node count
         (read_msh_nodes, "$MeshFormat\n2.2\n$EndMeshFormat\n", 2),  # $MeshFormat line
         (read_msh_nodes, _V2_HEAD + "0\n$EndNodes\n", 4),  # empty node section
+        (read_msh_nodes, MSH_V2.replace("20 1.0", "b 1.0"), 4),  # non-numeric tag
     ],
 )
 def test_input_error_names_its_line(tmp_path, reader, text, line):

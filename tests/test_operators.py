@@ -63,11 +63,6 @@ class TestMonomialBasis:
         assert (0, 0) not in basis
         assert {sum(b) for b in basis} == {1, 2, 3}
 
-    def test_explicit_dimension_checked(self):
-        assert monomial_basis((1, 0, 0), 2, 3) == monomial_basis((1, 0, 0), 2)
-        with pytest.raises(ValueError):
-            monomial_basis((1, 0), 2, 3)
-
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             monomial_basis((0, 0), 2)
@@ -112,6 +107,9 @@ class TestOperatorSpec:
             ({"max_growth_attempts": 1.5}, "max_growth_attempts"),
             ({"eps_factor": math.inf}, "eps_factor"),
             ({"neighbor_factor": math.inf}, "neighbor_factor"),
+            ({"alpha": (1, 0, 0, 0)}, "1 to 3 components"),
+            ({"max_growth_attempts": -1}, "max_growth_attempts"),
+            ({"cond_threshold": 0.0}, "cond_threshold"),
         ],
     )
     def test_rejects_values_it_would_truncate_or_crash_on(self, kwargs, name):
@@ -306,6 +304,28 @@ class TestMomentSystem:
             alone_cond, alone, _ = _solve(s.V[None], s.E[None], s.A[None], rhs, 1e12)
             assert cond[i] == alone_cond[0]
             assert np.array_equal(coeffs[:, i], alone[:, 0])
+
+    def test_zero_underdetermined_stack_named(self):
+        # k < l has no condition gate; an all-zero B still fails by name
+        V, E, A = np.zeros((1, 2, 3)), np.ones((1, 2)), np.zeros((1, 3, 3))
+        cond, coeffs, why = _solve(V, E, A, np.array([[0.0], [-1.0], [0.0]]), 1e12)
+        assert why == {0: "moment matrix is numerically zero"}
+        assert cond[0] == np.inf and np.all(np.isnan(coeffs))
+
+    @pytest.mark.parametrize(
+        "eps, alpha, match",
+        [
+            (0.0, (1,), "kernel width eps must be positive"),
+            (-0.1, (1,), "kernel width eps must be positive"),
+            (0.1, (1, 0), r"multi-index \(1, 0\) does not match cloud dimension 1"),
+        ],
+        ids=["zero-eps", "negative-eps", "dimension"],
+    )
+    def test_bad_eps_or_dimension_rejected(self, eps, alpha, match):
+        cloud, ns = self._symmetric_pair()
+        spec = OperatorSpec(alpha=alpha)
+        with pytest.raises(ValueError, match=match):
+            assemble_moment_system(cloud, ns, spec, eps, allow_underdetermined=True)
 
     def test_insufficient_support(self):
         cloud, ns = self._symmetric_pair()
@@ -545,6 +565,11 @@ class TestGradientOperator:
         assert _relative_error(ops[0].apply(x), np.ones(cloud.n)) < 1e-10
         assert _relative_error(ops[0].apply(y), np.zeros(cloud.n)) < 1e-10
         assert _relative_error(ops[1].apply(y), np.ones(cloud.n)) < 1e-10
+
+    def test_non_positive_thread_count_rejected(self, indexed2d):
+        cloud, index = indexed2d
+        with pytest.raises(ValueError, match="thread count must be positive"):
+            gradient_operator(cloud, index, threads=0)
 
 
 class TestStencilStore:
