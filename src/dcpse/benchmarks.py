@@ -27,7 +27,13 @@ import numpy as np
 
 from .cloud import PointCloud, SpatialIndex, build_index, normalized_spacing
 from .elasticity import ElasticMaterial, recover
-from .operators import StencilOperator, _integer, gradient_operator, verify_moments
+from .operators import (
+    OperatorSpec,
+    StencilOperator,
+    _integer,
+    gradient_operator,
+    verify_moments,
+)
 
 _SERIES_TOL = 1e-14
 _JITTER_FRACTION = 0.25
@@ -337,14 +343,12 @@ def _box_cloud(level: int, kind: str, seed: int) -> PointCloud:
 # benchmark problem bundles
 
 
-def operator_diagnostics(
-    ops: tuple[StencilOperator, ...], cloud: PointCloud
-) -> dict[str, float]:
+def operator_diagnostics(ops: tuple[StencilOperator, ...]) -> dict[str, float]:
     """Largest condition estimate, moment residual and support size of ops."""
     return {
         "max_condition": max(float(np.max(op.condition)) for op in ops),
         "max_moment_residual": max(
-            float(np.max(verify_moments(op, cloud))) for op in ops
+            float(np.max(verify_moments(op, op.cloud))) for op in ops
         ),
         "max_support": max(int(np.max(op.support_size)) for op in ops),
     }
@@ -370,16 +374,18 @@ class BenchmarkProblem:
     material: ElasticMaterial | None = None
 
     def recovered(
-        self, cloud, index, *, r=2, eps_factor=1.0, neighbor_factor=2.0
+        self,
+        cloud,
+        index,
+        *,
+        r=OperatorSpec.r,
+        eps_factor=OperatorSpec.eps_factor,
+        neighbor_factor=OperatorSpec.neighbor_factor,
     ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
         """The named fields computed by the discrete operators, plus the
         operator diagnostics."""
         ops = gradient_operator(
-            cloud,
-            index,
-            r,
-            eps_factor=eps_factor,
-            neighbor_factor=neighbor_factor,
+            cloud, index, r, eps_factor=eps_factor, neighbor_factor=neighbor_factor
         )
         values = self.input_field(cloud.coords)
         if self.material is None:
@@ -387,7 +393,7 @@ class BenchmarkProblem:
         else:
             rec = recover(cloud, index, values, self.material, operators=ops)
             out = [rec.stress.component(name) for name in self.picks]
-        return dict(zip(self.components, out)), operator_diagnostics(ops, cloud)
+        return dict(zip(self.components, out)), operator_diagnostics(ops)
 
 
 def _franke_exact(coords):
@@ -531,9 +537,9 @@ def evaluate_level(
     level: int,
     *,
     kind: str = "structured",
-    r: int = 2,
-    eps_factor: float = 1.0,
-    neighbor_factor: float = 2.0,
+    r: int = OperatorSpec.r,
+    eps_factor: float = OperatorSpec.eps_factor,
+    neighbor_factor: float = OperatorSpec.neighbor_factor,
     seed: int = 0,
 ) -> dict:
     """Run one benchmark at a single refinement level.
@@ -547,11 +553,7 @@ def evaluate_level(
     cloud = generate_nodes(problem, level, kind, seed)
     index = build_index(cloud)
     fields, diagnostics = problem.recovered(
-        cloud,
-        index,
-        r=r,
-        eps_factor=eps_factor,
-        neighbor_factor=neighbor_factor,
+        cloud, index, r=r, eps_factor=eps_factor, neighbor_factor=neighbor_factor
     )
     exact = problem.exact(cloud.coords)
     entry = {
@@ -568,9 +570,7 @@ def evaluate_level(
     return entry
 
 
-def operator_settings(
-    r: int, eps_factor: float, neighbor_factor: float
-) -> dict:
+def operator_settings(r: int, eps_factor: float, neighbor_factor: float) -> dict:
     """Echo of the operator configuration, as stored in reports."""
     return {
         "derivative": "gradient",
@@ -585,9 +585,9 @@ def convergence_study(
     levels,
     *,
     kind: str = "structured",
-    r: int = 2,
-    eps_factor: float = 1.0,
-    neighbor_factor: float = 2.0,
+    r: int = OperatorSpec.r,
+    eps_factor: float = OperatorSpec.eps_factor,
+    neighbor_factor: float = OperatorSpec.neighbor_factor,
     seed: int = 0,
     exclude_coarsest: bool = False,
 ) -> ConvergenceReport:
@@ -607,17 +607,9 @@ def convergence_study(
         )
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must be strictly increasing, got {levels}")
+    opts = dict(r=r, eps_factor=eps_factor, neighbor_factor=neighbor_factor)
     entries = [
-        evaluate_level(
-            problem,
-            level,
-            kind=kind,
-            r=r,
-            eps_factor=eps_factor,
-            neighbor_factor=neighbor_factor,
-            seed=seed,
-        )
-        for level in levels
+        evaluate_level(problem, level, kind=kind, seed=seed, **opts) for level in levels
     ]
     fit_entries = entries[1:] if exclude_coarsest else entries
     fit_h = np.array([entry["spacing"] for entry in fit_entries])
@@ -629,7 +621,7 @@ def convergence_study(
     return ConvergenceReport(
         problem=problem.name,
         kind=kind,
-        operator=operator_settings(r, eps_factor, neighbor_factor),
+        operator=operator_settings(**opts),
         levels=entries,
         fit_levels=[entry["level"] for entry in fit_entries],
         slopes=slopes,

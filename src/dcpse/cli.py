@@ -63,9 +63,17 @@ def _alpha_suffix(alpha: tuple[int, ...]) -> str:
     return "".join(axis * count for axis, count in zip("xyz", alpha))
 
 
+# the OperatorSpec fields the operator flags set, with their type and help
+_OPERATOR_FLAGS = (
+    ("r", int, "approximation order"),
+    ("eps_factor", float, "kernel width multiplier"),
+    ("neighbor_factor", float, "support size as a multiple of the basis size"),
+)
+
+
 def _operator_kwargs(args) -> dict:
     """The operator flags as the library's keyword arguments."""
-    return {k: getattr(args, k) for k in ("r", "eps_factor", "neighbor_factor")}
+    return {name: getattr(args, name) for name, _, _ in _OPERATOR_FLAGS}
 
 
 def cmd_derive(args) -> int:
@@ -77,7 +85,7 @@ def cmd_derive(args) -> int:
         )
     spec = OperatorSpec(alpha=_parse_alpha(args.alpha), **_operator_kwargs(args))
     op = build_operator(cloud, build_index(cloud), spec)
-    diag = operator_diagnostics((op,), cloud)
+    diag = operator_diagnostics((op,))
     print(
         f"derive d{_alpha_suffix(spec.alpha)}: nodes={cloud.n} "
         f"support<={diag['max_support']} cond<={diag['max_condition']:.3e} "
@@ -192,16 +200,9 @@ def _add_cloud_args(parser):
 
 
 def _add_operator_args(parser):
-    parser.add_argument("--r", type=int, default=2, help="approximation order")
-    parser.add_argument(
-        "--eps-factor", type=float, default=1.0, help="kernel width multiplier"
-    )
-    parser.add_argument(
-        "--neighbor-factor",
-        type=float,
-        default=2.0,
-        help="support size as a multiple of the basis size",
-    )
+    for name, kind, text in _OPERATOR_FLAGS:
+        flag, default = "--" + name.replace("_", "-"), getattr(OperatorSpec, name)
+        parser.add_argument(flag, type=kind, default=default, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

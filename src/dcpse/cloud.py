@@ -75,6 +75,11 @@ class PointCloud:
         return self.coords.shape[1]
 
 
+def _same_cloud(a: PointCloud, b: PointCloud) -> bool:
+    """Whether two clouds hold the same nodes: one object, or equal coordinates."""
+    return a is b or np.array_equal(a.coords, b.coords)
+
+
 @dataclass(frozen=True)
 class SpatialIndex:
     """k-d tree over a cloud, built once and shared by read-only queries."""

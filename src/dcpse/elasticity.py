@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import PointCloud, SpatialIndex
+from .cloud import PointCloud, SpatialIndex, _same_cloud
 from .operators import StencilOperator, _first_partials, gradient_operator
 
 
@@ -130,7 +130,8 @@ def displacement_gradient(
 
     One shared set of first-partial operators differentiates every
     component; pass `operators`, the partials along x, y[, z] in that
-    order, to reuse stencils across fields or to use another order r.
+    order, to reuse stencils across fields or to use another order r. They
+    must be built on this cloud or an equal-coordinate copy (ValueError).
     """
     d = cloud.dim
     u = np.asarray(displacement, dtype=np.float64)
@@ -145,6 +146,8 @@ def displacement_gradient(
     for j, (op, alpha) in enumerate(zip(operators, _first_partials(d))):
         if op.alpha != alpha:
             raise ValueError(f"operators[{j}] has alpha {op.alpha}, expected {alpha}")
+        if not _same_cloud(op.cloud, cloud):
+            raise ValueError(f"operators[{j}] was built for a different cloud")
     grad = np.empty((cloud.n, d, d))
     for i in range(d):
         for j in range(d):
@@ -263,7 +266,8 @@ def recover(
     Two-dimensional clouds are treated as plane strain: the in-plane
     tensors are kept as-is in `strain`/`stress`, while `stress3` holds the
     3-d embedding used for the deviatoric quantities. `principal` contains
-    the in-plane principal pair in 2-d.
+    the in-plane principal pair in 2-d. `operators` are checked as in
+    displacement_gradient: first partials in axis order, built on this cloud.
     """
     if cloud.dim not in (2, 3):
         raise ValueError("recovery is defined for 2-d and 3-d clouds")

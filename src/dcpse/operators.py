@@ -37,6 +37,7 @@ from .cloud import (
     PointCloud,
     SpatialIndex,
     _k_nearest_arrays,
+    _same_cloud,
     _spacing,
 )
 
@@ -377,7 +378,7 @@ def assemble_moment_system(
 def solve_kernel_coefficients(
     system: MomentSystem,
     *,
-    cond_threshold: float = 1e12,
+    cond_threshold: float = OperatorSpec.cond_threshold,
     node: int | None = None,
 ) -> np.ndarray:
     """Solve the moment system for the kernel coefficient vector a.
@@ -402,7 +403,9 @@ def kernel_weights(system: MomentSystem, coeffs: np.ndarray, order: int) -> np.n
 
 @dataclass(frozen=True)
 class StencilOperator(_Derivative):
-    """A derivative operator assembled over every node of one cloud.
+    """A derivative operator assembled over every node of `cloud`, which it
+    holds by reference and reads `n` and `dim` from. verify_moments and the
+    elasticity recovery accept that cloud or an equal-coordinate copy only.
 
     The CSR matrix is the only store of the stencils: row p holds the
     weights w_q of node p's neighbors and, last, the center coupling
@@ -417,8 +420,7 @@ class StencilOperator(_Derivative):
 
     alpha: tuple[int, ...]
     r: int
-    dim: int
-    n: int
+    cloud: PointCloud = field(repr=False, compare=False)
     eps: np.ndarray = field(repr=False)
     support_size: np.ndarray = field(repr=False)
     condition: np.ndarray = field(repr=False)
@@ -428,6 +430,14 @@ class StencilOperator(_Derivative):
         m = self._matrix
         for arr in (m.data, m.indices, m.indptr):
             arr.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return self.cloud.n
+
+    @property
+    def dim(self) -> int:
+        return self.cloud.dim
 
     def _rows(self, values: np.ndarray) -> list[np.ndarray]:
         ptr = self._matrix.indptr
@@ -504,7 +514,7 @@ def _build_many(
     Growth stops at k = n - 1, so a cloud smaller than the basis (k < l) has
     one attempt, at its minimal-norm solve.
     """
-    if not np.array_equal(index.cloud.coords, cloud.coords):
+    if not _same_cloud(index.cloud, cloud):
         raise ValueError("spatial index was built for a different cloud")
     basis = _basis_cached(alphas[0], spec.r)[0]
     rhs = np.column_stack([_rhs(basis, a) for a in alphas])
@@ -557,8 +567,7 @@ def _build_many(
             StencilOperator(
                 alpha=alpha,
                 r=spec.r,
-                dim=cloud.dim,
-                n=n,
+                cloud=cloud,
                 eps=eps,
                 support_size=size,
                 condition=cond,
@@ -594,12 +603,12 @@ def build_operator(
 def gradient_operator(
     cloud: PointCloud,
     index: SpatialIndex,
-    r: int = 2,
+    r: int = OperatorSpec.r,
     *,
-    eps_factor: float = 1.0,
-    neighbor_factor: float = 2.0,
-    max_growth_attempts: int = 5,
-    cond_threshold: float = 1e12,
+    eps_factor: float = OperatorSpec.eps_factor,
+    neighbor_factor: float = OperatorSpec.neighbor_factor,
+    max_growth_attempts: int = OperatorSpec.max_growth_attempts,
+    cond_threshold: float = OperatorSpec.cond_threshold,
     threads: int | None = None,
 ) -> tuple[StencilOperator, ...]:
     """Build all d first-partial operators in one pass.
@@ -643,9 +652,10 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     (-1)^{|alpha|} alpha! at beta = alpha and 0 for the other basis
     monomials (the constant moment participates only for odd |alpha|, the
     only case where it is in the basis). Build acceptance requires the
-    deviation to stay below 1e-8 everywhere.
+    deviation to stay below 1e-8 everywhere. `cloud` must be the cloud the
+    operator was built on, or an equal-coordinate copy (ValueError otherwise).
     """
-    if cloud.n != op.n or cloud.dim != op.dim:
+    if not _same_cloud(op.cloud, cloud):
         raise ValueError("operator was built for a different cloud")
     basis, chain = _basis_cached(op.alpha, op.r)
     target = _rhs(basis, op.alpha)

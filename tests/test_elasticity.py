@@ -14,13 +14,18 @@ from dcpse import (
     build_operator,
     deviatoric,
     displacement_gradient,
+    generate_nodes,
+    gradient_operator,
     lame_from_young_poisson,
     plane_strain_embed,
     principal_stresses,
+    read_points_csv,
     recover,
     strain_from_gradient,
     stress_from_strain,
+    verify_moments,
     von_mises,
+    write_field_csv,
 )
 from conftest import jittered_cloud
 
@@ -393,3 +398,29 @@ class TestRecover:
         direct = recover(cloud, index, u, mat)
         reused = recover(cloud, index, u, mat, operators=ops)
         assert np.array_equal(direct.stress.data, reused.stress.data)
+
+    def test_operators_of_another_cloud_rejected(self, tmp_path):
+        # same level and node count, another jitter: such operators give
+        # sigma_xx off by 1.6e8 Pa (of 2.69e8)
+        cloud = generate_nodes("plate", 1, "jittered", 0)
+        other = generate_nodes("plate", 1, "jittered", 1)
+        assert other.n == cloud.n
+        index = build_index(cloud)
+        u = np.column_stack([1e-3 * cloud.coords[:, 0], np.zeros(cloud.n)])
+        mat = ElasticMaterial(young=200e9, poisson=0.3)
+        foreign = gradient_operator(other, build_index(other))
+        with pytest.raises(ValueError, match="different cloud"):
+            verify_moments(foreign[0], cloud)
+        with pytest.raises(ValueError, match="different cloud"):
+            displacement_gradient(cloud, index, u, operators=foreign)
+        with pytest.raises(ValueError, match="different cloud"):
+            recover(cloud, index, u, mat, operators=foreign)
+        # an equal copy of the cloud, read back from a file, is the same cloud
+        write_field_csv(tmp_path / "cloud.csv", cloud)
+        copy = read_points_csv(tmp_path / "cloud.csv")[0]
+        assert copy is not cloud
+        ops = gradient_operator(cloud, index)
+        assert np.max(verify_moments(ops[0], copy)) <= 1e-8
+        direct = recover(cloud, index, u, mat, operators=ops)
+        via_copy = recover(copy, build_index(copy), u, mat, operators=ops)
+        assert np.array_equal(direct.stress.data, via_copy.stress.data)

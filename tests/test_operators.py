@@ -566,6 +566,18 @@ class TestGradientOperator:
         assert _relative_error(ops[0].apply(y), np.zeros(cloud.n)) < 1e-10
         assert _relative_error(ops[1].apply(y), np.ones(cloud.n)) < 1e-10
 
+    @pytest.mark.parametrize("shape", ["anisotropic", "graded"])
+    def test_anisotropic_and_graded_clouds_build(self, shape):
+        # a strip 1e-3 thin, and a cloud crowded towards x = 0 by x -> x^4
+        u = np.random.default_rng(0).uniform(0, 1, (2000, 2))
+        if shape == "anisotropic":
+            coords = np.column_stack([u[:, 0], 1e-3 * u[:, 1]])
+        else:
+            coords = np.column_stack([u[:, 0] ** 4, u[:, 1]])
+        cloud = PointCloud(coords)
+        for op in gradient_operator(cloud, build_index(cloud)):
+            assert np.max(verify_moments(op, cloud)) <= 1e-8
+
     def test_non_positive_thread_count_rejected(self, indexed2d):
         cloud, index = indexed2d
         with pytest.raises(ValueError, match="thread count must be positive"):
@@ -601,6 +613,8 @@ class TestStencilStore:
     def test_gradient_components_share_diagnostics(self, indexed2d):
         cloud, index = indexed2d
         ops = gradient_operator(cloud, index)
+        for op in ops:
+            assert op.cloud is cloud
         for op in ops[1:]:
             assert op.eps is ops[0].eps
             assert op.support_size is ops[0].support_size
@@ -823,7 +837,7 @@ class TestApply:
         cloud, index = indexed2d
         op = build_operator(cloud, index, OperatorSpec(alpha=(1, 0)))
         other = jittered_cloud(2, 4, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different cloud"):
             verify_moments(op, other)
 
 
