@@ -527,8 +527,10 @@ def fit_slope(h: np.ndarray, err: np.ndarray) -> float:
     err = np.asarray(err, dtype=np.float64)
     if h.size != err.size or h.size < 2:
         raise ValueError("need at least two (h, err) pairs to fit a slope")
-    if np.any(h <= 0) or np.any(err <= 0):
-        raise ValueError("slope fit requires positive spacings and errors")
+    if not np.all(np.isfinite(h) & (h > 0) & np.isfinite(err) & (err > 0)):
+        raise ValueError("slope fit requires positive finite spacings and errors")
+    if np.unique(h).size < 2:
+        raise ValueError("slope fit requires at least two distinct spacings")
     return _loglog_fit(h, err)[0]
 
 

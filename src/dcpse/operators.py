@@ -43,6 +43,8 @@ from .cloud import (
 
 _RESIDUAL_TOL = 1e-10
 _GROWTH = 1.5
+_MAX_GROWTH_ATTEMPTS = 5
+_COND_THRESHOLD = 1e12  # the largest 1-norm condition estimate accepted
 _MAX_BASIS_DEGREE = 6
 _BLOCK = 512  # nodes per stacked pass; bounds the (m, k, l) stacked temporaries
 
@@ -54,10 +56,9 @@ class InsufficientSupportError(ValueError):
 class IllConditionedNodeError(RuntimeError):
     """Raised when one node's moment system cannot be solved reliably."""
 
-    def __init__(self, node: int | None, detail: str):
+    def __init__(self, node: int, detail: str):
         self.node = node
-        where = f"node {node}" if node is not None else "node"
-        super().__init__(f"ill-conditioned moment system at {where}: {detail}")
+        super().__init__(f"ill-conditioned moment system at node {node}: {detail}")
 
 
 class OperatorBuildError(RuntimeError):
@@ -139,20 +140,12 @@ class OperatorSpec(_Derivative):
     neighbor_factor : float
         Support size as a multiple of the basis size l (k = ceil of it),
         finite and at least 1.0. Default 2.0.
-    max_growth_attempts : int
-        How many times an ill-conditioned support may be regrown by 1.5x
-        before the node is reported as failed. Default 5.
-    cond_threshold : float
-        1-norm condition estimate above which a (square-rank) moment system
-        is rejected. Default 1e12.
     """
 
     alpha: tuple[int, ...]
     r: int = 2
     eps_factor: float = 1.0
     neighbor_factor: float = 2.0
-    max_growth_attempts: int = 5
-    cond_threshold: float = 1e12
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _validate_alpha(self.alpha))
@@ -172,10 +165,6 @@ class OperatorSpec(_Derivative):
                 f"neighbor_factor must be finite and at least 1.0, "
                 f"got {self.neighbor_factor}"
             )
-        if _integer("max_growth_attempts", self.max_growth_attempts) < 0:
-            raise ValueError("max_growth_attempts must be non-negative")
-        if not self.cond_threshold > 0:
-            raise ValueError("cond_threshold must be positive")
 
 
 def _grade_tuples(total: int, d: int):
@@ -223,7 +212,7 @@ def _basis_cached(alpha: tuple[int, ...], r: int):
 
 @dataclass(frozen=True)
 class MomentSystem:
-    """Per-node moment-matching system A a = b with A = B^T B, B = E V.
+    """Moment-matching system A a = b, A = B^T B, B = E V, of `spec` at `node`.
 
     V holds the basis monomials at the scaled offsets v_q = (x_p - x_q)/eps
     (one row per neighbor), E the Gaussian half-window exp(-|v_q|^2 / 2), so
@@ -231,7 +220,8 @@ class MomentSystem:
     (x*y)*y for x y^2, so their bits do not depend on batch, layout or CPU.
     """
 
-    basis: list[tuple[int, ...]]
+    spec: OperatorSpec
+    node: int
     V: np.ndarray
     E: np.ndarray
     A: np.ndarray
@@ -275,18 +265,17 @@ def _assemble(offsets: np.ndarray, eps: np.ndarray, chain):
     return V, E, np.matmul(B.transpose(0, 2, 1), B)
 
 
-def _solve(
-    V: np.ndarray, E: np.ndarray, A: np.ndarray, rhs: np.ndarray, cond_threshold: float
-):
+def _solve(V: np.ndarray, E: np.ndarray, A: np.ndarray, rhs: np.ndarray):
     """Solve A a = b at every node of a stack, for each column b of rhs (l, c).
 
     For k >= l each A is inverted once: the 1-norm condition estimate
     |A| |A^-1| (the bits of np.linalg.cond(A, 1)) must be finite and at
-    most cond_threshold, and a = A^-1 b. For k < l (the whole cloud is
-    smaller than the basis) there is no gate and a = A^+ b, the minimal-norm
-    solution from the SVD of B. Either way |A a - b| <= 1e-10 (1 + |b|) is
-    enforced per column. Returns the condition estimates (m,), inf for k < l,
-    the coefficients (c, m, l, 1), and the failure detail of each failed row.
+    most _COND_THRESHOLD = 1e12, and a = A^-1 b. For k < l (the whole cloud
+    is smaller than the basis) there is no gate and a = A^+ b, the
+    minimal-norm solution from the SVD of B. Either way
+    |A a - b| <= 1e-10 (1 + |b|) is enforced per column. Returns the
+    condition estimates (m,), inf for k < l, the coefficients (c, m, l, 1),
+    and the failure detail of each failed row.
     """
     m, k, l = V.shape
     why: dict[int, str] = {}
@@ -300,10 +289,10 @@ def _solve(
                     inv[i] = np.linalg.inv(A[i : i + 1])[0]
         with np.errstate(all="ignore"):  # the norms np.linalg.cond(A, 1) takes
             cond = np.linalg.norm(A, 1, (1, 2)) * np.linalg.norm(inv, 1, (1, 2))
-        live = np.isfinite(cond) & (cond <= cond_threshold)
+        live = np.isfinite(cond) & (cond <= _COND_THRESHOLD)
         for i in np.flatnonzero(~live).tolist():
             why[i] = (
-                f"condition estimate {cond[i]:.3e} exceeds {cond_threshold:.3e}"
+                f"condition estimate {cond[i]:.3e} exceeds {_COND_THRESHOLD:.3e}"
                 if np.isfinite(cond[i])
                 else "moment matrix is numerically singular"
             )
@@ -347,24 +336,22 @@ def assemble_moment_system(
     neighbors: NeighborSet,
     spec: OperatorSpec,
     eps: float,
-    *,
-    allow_underdetermined: bool = False,
 ) -> MomentSystem:
     """Assemble the moment system of D^alpha at one node.
 
     The builder's assembly stage on a batch of one, so the arrays are the
     bits the builder uses at this node. Raises InsufficientSupportError
-    when the support has fewer nodes than basis monomials, unless
-    allow_underdetermined is set (the builder accepts such a support only
-    once it spans the whole cloud, and then the minimal-norm solution iff
-    its residual passes).
+    when the support has fewer nodes than basis monomials and is not the
+    rest of the cloud: the builder accepts such a support only when it
+    spans the whole cloud, and then the minimal-norm solution iff its
+    residual passes.
     """
     if not eps > 0:
         raise ValueError(f"kernel width eps must be positive, got {eps}")
     _check_dim(spec.alpha, cloud)
     basis, chain = _basis_cached(spec.alpha, spec.r)
     k, l = len(neighbors), len(basis)
-    if k < l and not allow_underdetermined:
+    if k < min(l, cloud.n - 1):
         raise InsufficientSupportError(
             f"node {neighbors.node}: support of {k} nodes cannot determine "
             f"{l} basis moments"
@@ -372,33 +359,29 @@ def assemble_moment_system(
     offsets = cloud.coords[neighbors.node] - cloud.coords[neighbors.ids]
     V, E, A = (x[0] for x in _assemble(offsets[None], np.array([float(eps)]), chain))
     b = _rhs(basis, spec.alpha)
-    return MomentSystem(basis=list(basis), V=V, E=E, A=A, b=b, eps=float(eps))
+    return MomentSystem(spec, neighbors.node, V, E, A, b, float(eps))
 
 
-def solve_kernel_coefficients(
-    system: MomentSystem,
-    *,
-    cond_threshold: float = OperatorSpec.cond_threshold,
-    node: int | None = None,
-) -> np.ndarray:
+def solve_kernel_coefficients(system: MomentSystem) -> np.ndarray:
     """Solve the moment system for the kernel coefficient vector a.
 
     The builder's solve stage on a batch of one: the same gates, the same
-    solver and the same bits. Raises IllConditionedNodeError naming `node`
-    when a gate fails.
+    solver and the same bits. Raises IllConditionedNodeError naming the
+    system's node when a gate fails.
     """
     V, E, A = (x[None] for x in (system.V, system.E, system.A))
-    _, coeffs, why = _solve(V, E, A, system.b[:, None], cond_threshold)
+    _, coeffs, why = _solve(V, E, A, system.b[:, None])
     if why:
-        raise IllConditionedNodeError(node, why[0])
+        raise IllConditionedNodeError(system.node, why[0])
     return coeffs[0, 0, :, 0]
 
 
-def kernel_weights(system: MomentSystem, coeffs: np.ndarray, order: int) -> np.ndarray:
+def kernel_weights(system: MomentSystem, coeffs: np.ndarray) -> np.ndarray:
     """Fold coefficients into per-neighbor weights eps^-|alpha| p(v) a W(v),
     with the builder's weight fold on a batch of one."""
     a = np.ascontiguousarray(coeffs, dtype=np.float64).reshape(1, -1, 1)
-    return _fold(system.V[None], system.E[None], np.array([system.eps]), a, order)[0]
+    eps = np.array([system.eps])
+    return _fold(system.V[None], system.E[None], eps, a, system.spec.order)[0]
 
 
 @dataclass(frozen=True)
@@ -489,7 +472,7 @@ def _solve_block(
     offsets = cloud.coords[nodes, None] - cloud.coords[ids]  # center minus neighbor
     eps = spec.eps_factor * _spacing(offsets)
     V, E, A = _assemble(offsets, eps, _basis_cached(spec.alpha, spec.r)[1])
-    cond, coeffs, why = _solve(V, E, A, rhs, spec.cond_threshold)
+    cond, coeffs, why = _solve(V, E, A, rhs)
     rows = nodes.tolist()
     retry = {rows[i]: str(IllConditionedNodeError(rows[i], w)) for i, w in why.items()}
     ok = np.ones(nodes.size, dtype=bool)
@@ -526,7 +509,7 @@ def _build_many(
 
     blocks, failed = [], {}
     pending = np.arange(n)
-    for attempt in range(spec.max_growth_attempts + 1):
+    for attempt in range(_MAX_GROWTH_ATTEMPTS + 1):
         if attempt:
             k = min(math.ceil(_GROWTH * k), n - 1)
         retry: dict[int, str] = {}
@@ -584,11 +567,11 @@ def build_operator(
 ) -> StencilOperator:
     """Build the D^alpha stencil operator at every node of the cloud.
 
-    Initial support size is k = ceil(neighbor_factor * l), capped at n - 1;
-    supports flagged ill-conditioned are regrown by 1.5x up to
-    max_growth_attempts times. If any node still fails, an
-    OperatorBuildError listing the failing node ids is raised. An index
-    built over other coordinates than the cloud's raises ValueError.
+    Initial support size is k = ceil(neighbor_factor * l), capped at n - 1.
+    A support whose condition estimate exceeds 1e12 or whose moment
+    residual fails is regrown by 1.5x, at most 5 times. If any node still
+    fails, an OperatorBuildError listing the failing node ids is raised. An
+    index built over other coordinates than the cloud's raises ValueError.
 
     The build is one batched pass over all nodes per growth attempt, and
     each node's weights do not depend on the batch it is solved in, so two
@@ -607,8 +590,6 @@ def gradient_operator(
     *,
     eps_factor: float = OperatorSpec.eps_factor,
     neighbor_factor: float = OperatorSpec.neighbor_factor,
-    max_growth_attempts: int = OperatorSpec.max_growth_attempts,
-    cond_threshold: float = OperatorSpec.cond_threshold,
     threads: int | None = None,
 ) -> tuple[StencilOperator, ...]:
     """Build all d first-partial operators in one pass.
@@ -619,14 +600,7 @@ def gradient_operator(
     """
     _resolve_threads(threads)
     alphas = _first_partials(cloud.dim)
-    spec = OperatorSpec(
-        alpha=alphas[0],
-        r=r,
-        eps_factor=eps_factor,
-        neighbor_factor=neighbor_factor,
-        max_growth_attempts=max_growth_attempts,
-        cond_threshold=cond_threshold,
-    )
+    spec = OperatorSpec(alphas[0], r, eps_factor, neighbor_factor)
     return tuple(_build_many(cloud, index, alphas, spec))
 
 

@@ -410,6 +410,12 @@ class TestFitSlope:
             fit_slope(np.array([0.1]), np.array([1.0]))
         with pytest.raises(ValueError):
             fit_slope(np.array([0.1, -0.2]), np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            fit_slope(np.array([0.1, 0.05]), np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            fit_slope(np.array([0.1, np.inf]), np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="distinct"):
+            fit_slope(np.array([0.1, 0.1]), np.array([1.0, 0.5]))
 
 
 class TestConvergenceStudy:

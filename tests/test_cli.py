@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,3 +326,26 @@ class TestDeterminism:
         assert run(base + ["--output", str(o1)]) == 0
         assert run(base + ["--output", str(o2)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
+
+
+class TestModuleEntryPoint:
+    """`python -m dcpse` runs the CLI and exits with its code."""
+
+    @staticmethod
+    def run_module(*args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-m", "dcpse", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_help(self):
+        done = self.run_module("--help")
+        assert done.returncode == 0
+        assert "usage:" in done.stdout
+
+    def test_unknown_benchmark_exits_2(self):
+        done = self.run_module("benchmark", "--problem", "nope")
+        assert done.returncode == 2
+        assert "error: unknown benchmark 'nope'" in done.stderr

@@ -28,6 +28,7 @@ from dcpse import (
     solve_kernel_coefficients,
     verify_moments,
 )
+from dcpse import operators
 from dcpse.operators import (
     _basis_cached,
     _basis_matrix,
@@ -104,25 +105,17 @@ class TestOperatorSpec:
         [
             ({"alpha": (1.9, 0)}, "alpha component"),
             ({"r": 2.0}, "order r"),
-            ({"max_growth_attempts": 1.5}, "max_growth_attempts"),
             ({"eps_factor": math.inf}, "eps_factor"),
             ({"neighbor_factor": math.inf}, "neighbor_factor"),
             ({"alpha": (1, 0, 0, 0)}, "1 to 3 components"),
-            ({"max_growth_attempts": -1}, "max_growth_attempts"),
-            ({"cond_threshold": 0.0}, "cond_threshold"),
         ],
     )
     def test_rejects_values_it_would_truncate_or_crash_on(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             OperatorSpec(**{"alpha": (1, 0), **kwargs})
 
-    def test_numpy_integers_and_infinite_cond_threshold_accepted(self):
-        spec = OperatorSpec(
-            alpha=(np.int64(1), np.int32(0)),
-            r=np.int64(3),
-            max_growth_attempts=np.int8(2),
-            cond_threshold=math.inf,
-        )
+    def test_numpy_integers_accepted(self):
+        spec = OperatorSpec(alpha=(np.int64(1), np.int32(0)), r=np.int64(3))
         assert spec.alpha == (1, 0) and spec.order == 1
 
     def test_defaults(self):
@@ -130,8 +123,8 @@ class TestOperatorSpec:
         assert spec.r == 2
         assert spec.eps_factor == 1.0
         assert spec.neighbor_factor == 2.0
-        assert spec.max_growth_attempts == 5
-        assert spec.cond_threshold == 1e12
+        assert operators._MAX_GROWTH_ATTEMPTS == 5
+        assert operators._COND_THRESHOLD == 1e12
 
 
 class TestMomentSystem:
@@ -145,9 +138,7 @@ class TestMomentSystem:
         h = 0.1
         cloud, ns = self._symmetric_pair(h)
         spec = OperatorSpec(alpha=(1,), r=2)
-        system = assemble_moment_system(
-            cloud, ns, spec, eps=h, allow_underdetermined=True
-        )
+        system = assemble_moment_system(cloud, ns, spec, eps=h)
         # scaled offsets are center minus neighbor over eps: +1 and -1
         rows = {tuple(row) for row in system.V}
         assert rows == {(1.0, 1.0, 1.0), (1.0, -1.0, 1.0)}
@@ -159,9 +150,7 @@ class TestMomentSystem:
         cloud, ns = self._symmetric_pair(h)
         spec = OperatorSpec(alpha=(1,), r=2)
         eps0 = h
-        system = assemble_moment_system(
-            cloud, ns, spec, eps=2 * eps0, allow_underdetermined=True
-        )
+        system = assemble_moment_system(cloud, ns, spec, eps=2 * eps0)
         offsets = cloud.coords[1] - cloud.coords[ns.ids]
         want = np.exp(-np.sum(offsets**2, axis=1) / (8.0 * eps0**2))
         assert np.allclose(system.E, want, rtol=1e-15)
@@ -274,7 +263,7 @@ class TestMomentSystem:
             ns = k_nearest(index, p, int(op.support_size[p]))
             system = assemble_moment_system(cloud, ns, spec, average_spacing(cloud, ns))
             want = np.linalg.inv(system.A[None]) @ system.b[None, :, None]
-            got = solve_kernel_coefficients(system, node=p)
+            got = solve_kernel_coefficients(system)
             assert np.array_equal(got, want[0, :, 0]), p
             assert op.condition[p] == np.linalg.cond(system.A, 1), p
 
@@ -297,18 +286,18 @@ class TestMomentSystem:
         E = np.stack([s.E for s in rows])
         A = np.stack([good[0].A, singular, good[1].A])
         rhs = good[0].b[:, None]
-        cond, coeffs, why = _solve(V, E, A, rhs, 1e12)
+        cond, coeffs, why = _solve(V, E, A, rhs)
         assert why == {1: "moment matrix is numerically singular"}
         assert cond[1] == np.inf and np.all(np.isnan(coeffs[:, 1]))
         for i, s in ((0, good[0]), (2, good[1])):
-            alone_cond, alone, _ = _solve(s.V[None], s.E[None], s.A[None], rhs, 1e12)
+            alone_cond, alone, _ = _solve(s.V[None], s.E[None], s.A[None], rhs)
             assert cond[i] == alone_cond[0]
             assert np.array_equal(coeffs[:, i], alone[:, 0])
 
     def test_zero_underdetermined_stack_named(self):
         # k < l has no condition gate; an all-zero B still fails by name
         V, E, A = np.zeros((1, 2, 3)), np.ones((1, 2)), np.zeros((1, 3, 3))
-        cond, coeffs, why = _solve(V, E, A, np.array([[0.0], [-1.0], [0.0]]), 1e12)
+        cond, coeffs, why = _solve(V, E, A, np.array([[0.0], [-1.0], [0.0]]))
         assert why == {0: "moment matrix is numerically zero"}
         assert cond[0] == np.inf and np.all(np.isnan(coeffs))
 
@@ -325,10 +314,13 @@ class TestMomentSystem:
         cloud, ns = self._symmetric_pair()
         spec = OperatorSpec(alpha=alpha)
         with pytest.raises(ValueError, match=match):
-            assemble_moment_system(cloud, ns, spec, eps, allow_underdetermined=True)
+            assemble_moment_system(cloud, ns, spec, eps)
 
     def test_insufficient_support(self):
-        cloud, ns = self._symmetric_pair()
+        # two of the three other nodes cannot determine l = 3 moments; the
+        # symmetric pair above is the rest of its cloud, so it assembles
+        cloud = PointCloud(np.array([[-0.1], [0.0], [0.1], [0.3]]))
+        ns = k_nearest(build_index(cloud), 1, 2)
         spec = OperatorSpec(alpha=(1,), r=2)
         with pytest.raises(InsufficientSupportError):
             assemble_moment_system(cloud, ns, spec, eps=0.1)
@@ -339,11 +331,9 @@ class TestMomentSystem:
         h = 0.1
         cloud, ns = self._symmetric_pair(h)
         spec = OperatorSpec(alpha=(1,), r=2)
-        system = assemble_moment_system(
-            cloud, ns, spec, eps=h, allow_underdetermined=True
-        )
+        system = assemble_moment_system(cloud, ns, spec, eps=h)
         coeffs = solve_kernel_coefficients(system)
-        w = kernel_weights(system, coeffs, spec.order)
+        w = kernel_weights(system, coeffs)
         by_id = dict(zip(ns.ids.tolist(), w))
         assert by_id[0] == pytest.approx(-1.0 / (2 * h), rel=1e-12)
         assert by_id[2] == pytest.approx(+1.0 / (2 * h), rel=1e-12)
@@ -477,11 +467,9 @@ class TestBuildOperator:
         def per_node(cloud, index, spec, p):
             ns = k_nearest(index, p, 2)
             eps = average_spacing(cloud, ns)
-            system = assemble_moment_system(
-                cloud, ns, spec, eps, allow_underdetermined=True
-            )
-            coeffs = solve_kernel_coefficients(system, node=p)
-            return ns.ids, eps, kernel_weights(system, coeffs, spec.order)
+            system = assemble_moment_system(cloud, ns, spec, eps)
+            coeffs = solve_kernel_coefficients(system)
+            return ns.ids, eps, kernel_weights(system, coeffs)
 
         # on a line along x, d/dx at r = 1 has a consistent system everywhere
         cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
@@ -511,9 +499,10 @@ class TestBuildOperator:
                 per_node(cloud, index, spec, p)
             assert message == str(want.value)
 
-    def test_tiny_cond_threshold_exhausts_growth(self, indexed2d):
+    def test_tiny_cond_threshold_exhausts_growth(self, indexed2d, monkeypatch):
         cloud, index = indexed2d
-        spec = OperatorSpec(alpha=(1, 0), cond_threshold=1.5)
+        monkeypatch.setattr(operators, "_COND_THRESHOLD", 1.5)
+        spec = OperatorSpec(alpha=(1, 0))
         with pytest.raises(OperatorBuildError):
             build_operator(cloud, index, spec)
 
@@ -681,18 +670,16 @@ def _per_node_stencil(cloud, index, spec, p):
     support on ill-conditioning the way build_operator does."""
     l = len(monomial_basis(spec.alpha, spec.r))
     k = min(math.ceil(spec.neighbor_factor * l), cloud.n - 1)
-    for _ in range(spec.max_growth_attempts + 1):
+    for _ in range(operators._MAX_GROWTH_ATTEMPTS + 1):
         ns = k_nearest(index, p, k)
         eps = spec.eps_factor * average_spacing(cloud, ns)
         system = assemble_moment_system(cloud, ns, spec, eps)
         try:
-            coeffs = solve_kernel_coefficients(
-                system, cond_threshold=spec.cond_threshold, node=p
-            )
+            coeffs = solve_kernel_coefficients(system)
         except IllConditionedNodeError:
-            k = min(math.ceil(1.5 * k), cloud.n - 1)
+            k = min(math.ceil(operators._GROWTH * k), cloud.n - 1)
             continue
-        return ns.ids, eps, kernel_weights(system, coeffs, spec.order)
+        return ns.ids, eps, kernel_weights(system, coeffs)
     raise AssertionError(f"node {p} did not build")
 
 
@@ -789,7 +776,9 @@ class TestBatchedEngine:
             ("collinear", float("inf")),
         ],
     )
-    def test_hard_cloud_builds_or_names_each_failed_node(self, name, cond_threshold):
+    def test_hard_cloud_builds_or_names_each_failed_node(
+        self, name, cond_threshold, monkeypatch
+    ):
         if name == "clustered":
             # 1,000 uniform nodes plus 1,000 in a box of side 1e-4
             rng = np.random.default_rng(0)
@@ -799,10 +788,9 @@ class TestBatchedEngine:
             t = np.linspace(0.0, 1.0, 30)
             coords = np.column_stack([t, 2.0 * t])
         cloud = PointCloud(coords)
+        monkeypatch.setattr(operators, "_COND_THRESHOLD", cond_threshold)
         try:
-            ops = gradient_operator(
-                cloud, build_index(cloud), cond_threshold=cond_threshold
-            )
+            ops = gradient_operator(cloud, build_index(cloud))
         except OperatorBuildError as err:
             assert err.failed_nodes
             for p, message in err.failed_nodes.items():
