@@ -345,6 +345,31 @@ class TestMomentSystem:
         val = sum(w0 * (g[q] + g[1]) for q, w0 in by_id.items())
         assert val == pytest.approx(3.0, rel=1e-12)
 
+    def test_second_derivative_weights_scale_by_eps_squared(self):
+        # kernel_weights takes |alpha| = 2 from the system's spec, so the
+        # weights carry eps^-2: d2/dx2 of x^2 + x^3 at 0 is 2, applied as
+        # sum w_q (f_q - f_p) for even order
+        h = 0.1
+        cloud = PointCloud(np.array([[-2 * h], [-h], [0.0], [h], [2 * h]]))
+        ns = k_nearest(build_index(cloud), 2, 4)
+        spec = OperatorSpec(alpha=(2,), r=2)
+        system = assemble_moment_system(cloud, ns, spec, eps=h)
+        w = kernel_weights(system, solve_kernel_coefficients(system))
+        f = cloud.coords[:, 0] ** 2 + cloud.coords[:, 0] ** 3
+        val = sum(w0 * (f[q] - f[2]) for q, w0 in zip(ns.ids.tolist(), w))
+        assert val == pytest.approx(2.0, rel=1e-10)
+
+    def test_ill_conditioned_error_names_the_systems_node(self):
+        # the end node of the symmetric 1-d triple has an inconsistent
+        # d/dx system; the error names the node the system was built at
+        h = 0.1
+        cloud = PointCloud(np.array([[-h], [0.0], [h]]))
+        ns = k_nearest(build_index(cloud), 0, 2)
+        system = assemble_moment_system(cloud, ns, OperatorSpec(alpha=(1,)), eps=h)
+        with pytest.raises(IllConditionedNodeError, match="at node 0: ") as err:
+            solve_kernel_coefficients(system)
+        assert err.value.node == 0
+
 
 def _relative_error(got, want):
     scale = max(float(np.max(np.abs(want))), 1.0)
