@@ -37,9 +37,9 @@ class DuplicateNodeError(ValueError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Immutable set of node coordinates.
+    """Immutable set of node coordinates; == compares the coordinates.
 
     Parameters
     ----------
@@ -74,13 +74,14 @@ class PointCloud:
     def dim(self) -> int:
         return self.coords.shape[1]
 
+    def __eq__(self, other):
+        """The same cloud: one object, or the same nodes in the same order."""
+        if not isinstance(other, PointCloud):
+            return NotImplemented
+        return self is other or np.array_equal(self.coords, other.coords)
 
-def _same_cloud(a: PointCloud, b: PointCloud) -> bool:
-    """Whether two clouds hold the same nodes: one object, or equal coordinates."""
-    return a is b or np.array_equal(a.coords, b.coords)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpatialIndex:
     """k-d tree over a cloud, built once and shared by read-only queries."""
 
@@ -88,7 +89,7 @@ class SpatialIndex:
     tree: cKDTree = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborSet:
     """Neighbors of one node, sorted by (distance, id), center excluded.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import PointCloud, SpatialIndex, _same_cloud
+from .cloud import PointCloud, SpatialIndex
 from .operators import StencilOperator, _first_partials, gradient_operator
 
 
@@ -62,7 +62,7 @@ _COMPONENTS = {d: tuple("xyz"[i] + "xyz"[j] for i, j in s) for d, s in _SLOTS.it
 _DIAGONAL = {d: [k for k, (i, j) in enumerate(s) if i == j] for d, s in _SLOTS.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymTensorField:
     """Symmetric rank-2 tensor per node, upper triangle packed by rows.
 
@@ -131,7 +131,7 @@ def displacement_gradient(
     One shared set of first-partial operators differentiates every
     component; pass `operators`, the partials along x, y[, z] in that
     order, to reuse stencils across fields or to use another order r. They
-    must be built on this cloud or an equal-coordinate copy (ValueError).
+    must be built on a cloud == this one (ValueError otherwise).
     """
     d = cloud.dim
     u = np.asarray(displacement, dtype=np.float64)
@@ -146,7 +146,7 @@ def displacement_gradient(
     for j, (op, alpha) in enumerate(zip(operators, _first_partials(d))):
         if op.alpha != alpha:
             raise ValueError(f"operators[{j}] has alpha {op.alpha}, expected {alpha}")
-        if not _same_cloud(op.cloud, cloud):
+        if op.cloud != cloud:
             raise ValueError(f"operators[{j}] was built for a different cloud")
     grad = np.empty((cloud.n, d, d))
     for i in range(d):
@@ -240,7 +240,7 @@ def principal_stresses(stress: SymTensorField) -> np.ndarray:
     return vals[:, ::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveredFields:
     """Full recovery output at the nodes of one cloud."""
 

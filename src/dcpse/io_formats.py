@@ -48,7 +48,7 @@ def read_points_csv(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
     ParseError with the offending line number.
     """
     rows: list[tuple[int, list[str]]] = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not row or (row[0].lstrip().startswith("#")):
                 continue

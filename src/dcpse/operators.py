@@ -37,7 +37,6 @@ from .cloud import (
     PointCloud,
     SpatialIndex,
     _k_nearest_arrays,
-    _same_cloud,
     _spacing,
 )
 
@@ -210,7 +209,7 @@ def _basis_cached(alpha: tuple[int, ...], r: int):
     return basis, tuple(chain)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSystem:
     """Moment-matching system A a = b, A = B^T B, B = E V, of `spec` at `node`.
 
@@ -384,11 +383,11 @@ def kernel_weights(system: MomentSystem, coeffs: np.ndarray) -> np.ndarray:
     return _fold(system.V[None], system.E[None], eps, a, system.spec.order)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StencilOperator(_Derivative):
     """A derivative operator assembled over every node of `cloud`, which it
     holds by reference and reads `n` and `dim` from. verify_moments and the
-    elasticity recovery accept that cloud or an equal-coordinate copy only.
+    elasticity recovery accept only a cloud == it (equal coordinates).
 
     The CSR matrix is the only store of the stencils: row p holds the
     weights w_q of node p's neighbors and, last, the center coupling
@@ -403,11 +402,11 @@ class StencilOperator(_Derivative):
 
     alpha: tuple[int, ...]
     r: int
-    cloud: PointCloud = field(repr=False, compare=False)
+    cloud: PointCloud = field(repr=False)
     eps: np.ndarray = field(repr=False)
     support_size: np.ndarray = field(repr=False)
     condition: np.ndarray = field(repr=False)
-    _matrix: csr_matrix = field(repr=False, compare=False)
+    _matrix: csr_matrix = field(repr=False)
 
     def __post_init__(self):
         m = self._matrix
@@ -497,7 +496,7 @@ def _build_many(
     Growth stops at k = n - 1, so a cloud smaller than the basis (k < l) has
     one attempt, at its minimal-norm solve.
     """
-    if not _same_cloud(index.cloud, cloud):
+    if index.cloud != cloud:
         raise ValueError("spatial index was built for a different cloud")
     basis = _basis_cached(alphas[0], spec.r)[0]
     rhs = np.column_stack([_rhs(basis, a) for a in alphas])
@@ -626,10 +625,10 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     (-1)^{|alpha|} alpha! at beta = alpha and 0 for the other basis
     monomials (the constant moment participates only for odd |alpha|, the
     only case where it is in the basis). Build acceptance requires the
-    deviation to stay below 1e-8 everywhere. `cloud` must be the cloud the
-    operator was built on, or an equal-coordinate copy (ValueError otherwise).
+    deviation to stay below 1e-8 everywhere. `cloud` must == the cloud the
+    operator was built on (ValueError otherwise).
     """
-    if not _same_cloud(op.cloud, cloud):
+    if op.cloud != cloud:
         raise ValueError("operator was built for a different cloud")
     basis, chain = _basis_cached(op.alpha, op.r)
     target = _rhs(basis, op.alpha)

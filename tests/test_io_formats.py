@@ -29,6 +29,19 @@ class TestCsvRead:
         assert list(fields) == ["temp"]
         assert np.array_equal(fields["temp"], [1.5, -2.25])
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a BOM before the header
+        text = "x,y,temp\n0.0,0.0,1.5\n1.0,0.5,-2.25\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        cloud, fields = read_points_csv(marked)
+        ref_cloud, ref_fields = read_points_csv(plain)
+        assert cloud == ref_cloud
+        assert list(fields) == list(ref_fields) == ["temp"]
+        assert np.array_equal(fields["temp"], ref_fields["temp"])
+
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text(
