@@ -26,6 +26,8 @@ import contextlib
 import functools
 import math
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +48,7 @@ _MAX_GROWTH_ATTEMPTS = 5
 _COND_THRESHOLD = 1e12  # the largest 1-norm condition estimate accepted
 _MAX_BASIS_DEGREE = 6
 _BLOCK = 512  # nodes per stacked pass; bounds the (m, k, l) stacked temporaries
+_MIN_CHUNK = 240  # nodes; a 2-d build split finer is slower on two threads than on one
 
 
 class InsufficientSupportError(ValueError):
@@ -439,11 +442,33 @@ class StencilOperator(_Derivative):
 
 def _resolve_threads(threads: int | None) -> int:
     """The requested thread count, 1 by default, checked to be positive. The
-    build is one batched pass, so the count changes nothing."""
+    build runs on the CPUs of the affinity mask, so the count changes nothing."""
     threads = 1 if threads is None else threads
     if threads < 1:
         raise ValueError(f"thread count must be positive, got {threads}")
     return threads
+
+
+def _workers() -> int:
+    """The number of CPUs in this process's affinity mask."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+
+
+def _in_chunks(fn, groups: list[np.ndarray]) -> list:
+    """[fn(chunk) for chunk in chunks], each node array in groups cut into a
+    multiple of _workers() chunks of at most _BLOCK but at least _MIN_CHUNK
+    nodes. The calling thread takes every workers-th chunk, and helper threads
+    made for this call the rest. Each node's bits come from its own slice of
+    every stacked pass, so they depend on neither the cut nor the threads."""
+    workers = _workers()
+    chunks = []
+    for nodes in groups:
+        parts = workers * -(-nodes.size // (workers * _BLOCK))
+        chunks += np.array_split(nodes, max(min(parts, nodes.size // _MIN_CHUNK), 1))
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:  # threads start on submit
+        helped = [i % workers and pool.submit(fn, c) for i, c in enumerate(chunks)]
+        return [f.result() if f else fn(c) for c, f in zip(chunks, helped)]
 
 
 def _solve_block(
@@ -512,10 +537,8 @@ def _build_many(
         if attempt:
             k = min(math.ceil(_GROWTH * k), n - 1)
         retry: dict[int, str] = {}
-        for start in range(0, pending.size, _BLOCK):
-            block, final, again = _solve_block(
-                cloud, index, spec, rhs, pending[start : start + _BLOCK], k
-            )
+        solve = functools.partial(_solve_block, cloud, index, spec, rhs, k=k)
+        for block, final, again in _in_chunks(solve, [pending]):
             blocks.append(block)
             failed.update(final)
             retry.update(again)
@@ -572,11 +595,12 @@ def build_operator(
     fails, an OperatorBuildError listing the failing node ids is raised. An
     index built over other coordinates than the cloud's raises ValueError.
 
-    The build is one batched pass over all nodes per growth attempt, and
-    each node's weights do not depend on the batch it is solved in, so two
-    builds over the same cloud produce bit-identical weights. They are also
-    the bits the per-node API (assemble_moment_system,
-    solve_kernel_coefficients, kernel_weights) gives at that node.
+    Each growth attempt is one batched pass over the pending nodes, in blocks
+    run on the CPUs of the process's affinity mask. Each node's weights do not
+    depend on its block, so the bits do not depend on that CPU count and two
+    builds over the same cloud are bit-identical. They are also the bits the
+    per-node API (assemble_moment_system, solve_kernel_coefficients,
+    kernel_weights) gives at that node.
     """
     _check_dim(spec.alpha, cloud)
     return _build_many(cloud, index, [spec.alpha], spec)[0]
@@ -595,7 +619,9 @@ def gradient_operator(
 
     The component operators share supports and moment matrices; only the
     right-hand sides differ. The result equals d independent build_operator
-    calls. `threads` is checked to be positive and otherwise unused.
+    calls, and like them runs its blocks on the CPUs of the affinity mask with
+    bits that do not depend on that count. `threads` is checked to be positive
+    and otherwise unused; ROADMAP item 1 removes it.
     """
     _resolve_threads(threads)
     alphas = _first_partials(cloud.dim)
@@ -626,7 +652,8 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     monomials (the constant moment participates only for odd |alpha|, the
     only case where it is in the basis). Build acceptance requires the
     deviation to stay below 1e-8 everywhere. `cloud` must == the cloud the
-    operator was built on (ValueError otherwise).
+    operator was built on (ValueError otherwise). Blocks of nodes run on the
+    CPUs of the affinity mask, and the result does not depend on that count.
     """
     if op.cloud != cloud:
         raise ValueError("operator was built for a different cloud")
@@ -635,17 +662,15 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     ids, w, ptr = op._matrix.indices, op._matrix.data, op._matrix.indptr
     starts, counts = ptr[:-1], np.diff(ptr) - 1  # rows without the center entry
     out = np.empty(op.n)
-    # one stacked product per support size and block of nodes: each node's
-    # moments come from the same (k, l) matrix-vector product a single-node
-    # check would run, and the blocks bound the temporary memory
-    for k in np.unique(counts):
-        same = np.flatnonzero(counts == k)
-        for b in range(0, same.size, _BLOCK):
-            nodes = same[b : b + _BLOCK]
-            at = starts[nodes, None] + np.arange(k)  # (nodes, k) stencil entries
-            eps = op.eps[nodes, None]
-            v = (cloud.coords[nodes, None] - cloud.coords[ids[at]]) / eps[..., None]
-            V = _basis_matrix(v, chain)
-            Z = np.matmul(V.transpose(0, 2, 1), (w[at] * eps**op.order)[..., None])
-            out[nodes] = np.max(np.abs(Z[..., 0] - target), axis=1)
+    # a chunk holds nodes of one support size, so each node's moments come from
+    # the (k, l) product a single-node check runs; chunks bound the temporaries
+    def check(nodes):
+        at = starts[nodes, None] + np.arange(counts[nodes[0]])  # stencil entries
+        eps = op.eps[nodes, None]
+        v = (cloud.coords[nodes, None] - cloud.coords[ids[at]]) / eps[..., None]
+        V = _basis_matrix(v, chain)
+        Z = np.matmul(V.transpose(0, 2, 1), (w[at] * eps**op.order)[..., None])
+        out[nodes] = np.max(np.abs(Z[..., 0] - target), axis=1)
+
+    _in_chunks(check, [np.flatnonzero(counts == k) for k in np.unique(counts)])
     return out

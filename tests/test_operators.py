@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -720,6 +722,15 @@ def _gradient_rhs(dim):
     return OperatorSpec(alpha=alphas[0]), np.column_stack([_rhs(basis, a) for a in alphas])
 
 
+def _clustered_cloud():
+    """1,000 uniform nodes plus 1,000 in a box of side 1e-4."""
+    rng = np.random.default_rng(0)
+    wide = rng.uniform(0.0, 1.0, size=(1000, 2))
+    return PointCloud(
+        np.vstack([wide, 0.5 + 1e-4 * rng.uniform(0.0, 1.0, size=(1000, 2))])
+    )
+
+
 class TestBatchedEngine:
     """The stacked build gives each node the bits it would get alone, and
     the numbers the public per-node API gives."""
@@ -805,14 +816,10 @@ class TestBatchedEngine:
         self, name, cond_threshold, monkeypatch
     ):
         if name == "clustered":
-            # 1,000 uniform nodes plus 1,000 in a box of side 1e-4
-            rng = np.random.default_rng(0)
-            wide = rng.uniform(0.0, 1.0, size=(1000, 2))
-            coords = np.vstack([wide, 0.5 + 1e-4 * rng.uniform(0.0, 1.0, size=(1000, 2))])
+            cloud = _clustered_cloud()
         else:
             t = np.linspace(0.0, 1.0, 30)
-            coords = np.column_stack([t, 2.0 * t])
-        cloud = PointCloud(coords)
+            cloud = PointCloud(np.column_stack([t, 2.0 * t]))
         monkeypatch.setattr(operators, "_COND_THRESHOLD", cond_threshold)
         try:
             ops = gradient_operator(cloud, build_index(cloud))
@@ -823,6 +830,98 @@ class TestBatchedEngine:
         else:
             for op in ops:
                 assert float(np.max(verify_moments(op, cloud))) <= 1e-8
+
+
+def _build_on(workers, cloud, index, monkeypatch):
+    """gradient_operator and verify_moments of each component with the
+    CPU count set to `workers`, and the threads that solved blocks."""
+    solvers = set()
+
+    def solve_block(*args, **kwargs):
+        solvers.add(threading.get_ident())
+        return _solve_block(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_workers", lambda: workers)
+        patch.setattr(operators, "_solve_block", solve_block)
+        ops = gradient_operator(cloud, index)
+        return ops, [verify_moments(op, cloud) for op in ops], solvers
+
+
+def _assert_same_bits(want, got):
+    assert len(want) == len(got)
+    for a, b in zip(want, got):
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a._matrix, name), getattr(b._matrix, name))
+        for name in ("eps", "condition", "support_size"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+class TestParallelBuild:
+    """Blocks run on the calling thread and helper threads made per call;
+    the bits are those of a build on one thread."""
+
+    @pytest.mark.parametrize("problem,level,kind", [
+        ("cantilever", 1, "structured"),  # 491 nodes regrown
+        ("franke", 2, "jittered"),
+    ])
+    def test_worker_count_does_not_change_the_bits(
+        self, problem, level, kind, monkeypatch
+    ):
+        cloud = generate_nodes(problem, level, kind)
+        index = build_index(cloud)
+        serial, serial_check, solvers = _build_on(1, cloud, index, monkeypatch)
+        assert solvers == {threading.get_ident()}
+        # the default, and more threads than the CPUs a small runner has
+        for workers in (operators._workers(), 3):
+            threads = threading.active_count()
+            ops, check, solvers = _build_on(workers, cloud, index, monkeypatch)
+            assert threading.active_count() == threads
+            assert (len(solvers) > 1) == (workers > 1)
+            _assert_same_bits(serial, ops)
+            for want, got in zip(serial_check, check):
+                assert np.array_equal(want, got)
+
+    def test_failed_nodes_do_not_depend_on_worker_count(self, monkeypatch):
+        cloud = _clustered_cloud()
+        index = build_index(cloud)
+        errors = []
+        for workers in (1, operators._workers(), 3):
+            with pytest.raises(OperatorBuildError) as err:
+                _build_on(workers, cloud, index, monkeypatch)
+            errors.append(err.value)
+        assert list(errors[0].failed_nodes) == [223, 325, 525, 943]
+        for error in errors[1:]:
+            assert list(error.failed_nodes.items()) == list(errors[0].failed_nodes.items())
+            assert str(error) == str(errors[0])
+
+    def test_concurrent_builds_on_one_cloud(self, monkeypatch, cantilever):
+        cloud, _ = cantilever
+        index = build_index(cloud)
+        serial, _, _ = _build_on(1, cloud, index, monkeypatch)
+        monkeypatch.setattr(operators, "_workers", lambda: 3)
+        start, results = threading.Barrier(2), [None, None]
+
+        def build(slot):
+            start.wait(timeout=10)
+            results[slot] = gradient_operator(cloud, index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter over often
+        try:
+            threads = threading.active_count()
+            users = [threading.Thread(target=build, args=(j,)) for j in range(2)]
+            for user in users:
+                user.start()
+            for user in users:
+                user.join(timeout=60)
+                assert not user.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        for ops in results:
+            assert ops is not None
+            _assert_same_bits(serial, ops)
 
 
 class TestApply:
