@@ -479,6 +479,8 @@ def generate_nodes(
     problem = get_problem(problem) if isinstance(problem, str) else problem
     if (level := _integer("refinement level", level)) < 0:
         raise ValueError(f"refinement level must be non-negative, got {level}")
+    if (seed := _integer("jitter seed", seed)) < 0:
+        raise ValueError(f"jitter seed must be non-negative, got {seed}")
     if kind not in ("structured", "jittered"):
         raise ValueError(f"kind must be 'structured' or 'jittered', got {kind!r}")
     return problem.generate(level, kind, seed)

@@ -129,6 +129,7 @@ def write_field_csv(path, cloud: PointCloud, fields: Mapping | None = None) -> N
     component order xx, xy[, xz], yy[, yz, zz] prefixed by the field name.
     Values use shortest round-trip float formatting; header names are
     quoted where CSV requires it, so any name reads back unchanged.
+    Non-finite values raise ValueError naming the column before the file opens.
     """
     fields = dict(fields or {})
     columns: list[tuple[str, np.ndarray]] = [
@@ -137,11 +138,13 @@ def write_field_csv(path, cloud: PointCloud, fields: Mapping | None = None) -> N
     for name in sorted(fields):
         columns.extend(_expand_field(name, fields[name], cloud.n, cloud.dim))
     seen = set()
-    for name, _ in columns:
+    for name, col in columns:
         if name in seen:
             raise ValueError(f"duplicate output column {name!r}")
         if name != name.strip():  # the reader strips header cells
             raise ValueError(f"output column {name!r} has surrounding whitespace")
+        if not np.all(np.isfinite(col)):  # the reader rejects them
+            raise ValueError(f"output column {name!r} holds non-finite values")
         seen.add(name)
     values = [col.tolist() for _, col in columns]  # float64: repr round-trips
     with open(path, "w", newline="") as handle:
@@ -246,7 +249,7 @@ def read_msh_nodes(path) -> tuple[PointCloud, dict[int, int]]:
     try:
         if version.startswith("2"):
             tags, coords = _parse_nodes_v2(lines, start, end, path)
-        elif version.startswith("4"):
+        elif version.startswith("4.1"):
             tags, coords = _parse_nodes_v4(lines, start, end, path)
         else:
             raise UnsupportedFormatError(

@@ -47,8 +47,7 @@ _GROWTH = 1.5
 _MAX_GROWTH_ATTEMPTS = 5
 _COND_THRESHOLD = 1e12  # the largest 1-norm condition estimate accepted
 _MAX_BASIS_DEGREE = 6
-_BLOCK = 512  # nodes per stacked pass; bounds the (m, k, l) stacked temporaries
-_MIN_CHUNK = 240  # nodes; a 2-d build split finer is slower on two threads than on one
+_BLOCK = 102_400  # stacked (node, neighbor, monomial) entries per chunk: 512 at 3-d k*l
 
 
 class InsufficientSupportError(ValueError):
@@ -440,32 +439,21 @@ class StencilOperator(_Derivative):
         return apply(self, values)
 
 
-def _resolve_threads(threads: int | None) -> int:
-    """The requested thread count, 1 by default, checked to be positive. The
-    build runs on the CPUs of the affinity mask, so the count changes nothing."""
-    threads = 1 if threads is None else threads
-    if threads < 1:
-        raise ValueError(f"thread count must be positive, got {threads}")
-    return threads
-
-
 def _workers() -> int:
     """The number of CPUs in this process's affinity mask."""
     getaffinity = getattr(os, "sched_getaffinity", None)
     return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
 
 
-def _in_chunks(fn, groups: list[np.ndarray]) -> list:
-    """[fn(chunk) for chunk in chunks], each node array in groups cut into a
-    multiple of _workers() chunks of at most _BLOCK but at least _MIN_CHUNK
-    nodes. The calling thread takes every workers-th chunk, and helper threads
-    made for this call the rest. Each node's bits come from its own slice of
-    every stacked pass, so they depend on neither the cut nor the threads."""
-    workers = _workers()
-    chunks = []
-    for nodes in groups:
-        parts = workers * -(-nodes.size // (workers * _BLOCK))
-        chunks += np.array_split(nodes, max(min(parts, nodes.size // _MIN_CHUNK), 1))
+def _in_chunks(fn, nodes: np.ndarray, width: int) -> list:
+    """[fn(chunk) for chunk in chunks]: nodes of `width` stacked entries each, in
+    one chunk under half a _BLOCK of entries, else in a multiple of _workers()
+    chunks of at most a block or one node, never more chunks than nodes. The
+    calling thread takes every workers-th chunk, helper threads made here the
+    rest. A node's bits come from its own slices, not from the cut or threads."""
+    n, workers, per = nodes.size, _workers(), max(_BLOCK // width, 1)
+    parts = workers * -(-n // (workers * per)) if 2 * n * width >= _BLOCK else 1
+    chunks = np.array_split(nodes, min(parts, n))
     with ThreadPoolExecutor(max(workers - 1, 1)) as pool:  # threads start on submit
         helped = [i % workers and pool.submit(fn, c) for i, c in enumerate(chunks)]
         return [f.result() if f else fn(c) for c, f in zip(chunks, helped)]
@@ -538,7 +526,7 @@ def _build_many(
             k = min(math.ceil(_GROWTH * k), n - 1)
         retry: dict[int, str] = {}
         solve = functools.partial(_solve_block, cloud, index, spec, rhs, k=k)
-        for block, final, again in _in_chunks(solve, [pending]):
+        for block, final, again in _in_chunks(solve, pending, k * l):
             blocks.append(block)
             failed.update(final)
             retry.update(again)
@@ -596,11 +584,11 @@ def build_operator(
     index built over other coordinates than the cloud's raises ValueError.
 
     Each growth attempt is one batched pass over the pending nodes, in blocks
-    run on the CPUs of the process's affinity mask. Each node's weights do not
-    depend on its block, so the bits do not depend on that CPU count and two
-    builds over the same cloud are bit-identical. They are also the bits the
-    per-node API (assemble_moment_system, solve_kernel_coefficients,
-    kernel_weights) gives at that node.
+    of at most 102,400 stacked entries (k * l per node) run on the CPUs of the
+    affinity mask. A node's weights do not depend on its block, so the bits
+    depend on neither the cut nor the CPU count, and two builds over the same
+    cloud are bit-identical. They are also the bits the per-node API
+    (assemble_moment_system, solve_kernel_coefficients, kernel_weights) gives.
     """
     _check_dim(spec.alpha, cloud)
     return _build_many(cloud, index, [spec.alpha], spec)[0]
@@ -623,7 +611,8 @@ def gradient_operator(
     bits that do not depend on that count. `threads` is checked to be positive
     and otherwise unused; ROADMAP item 1 removes it.
     """
-    _resolve_threads(threads)
+    if threads is not None and threads < 1:
+        raise ValueError(f"thread count must be positive, got {threads}")
     alphas = _first_partials(cloud.dim)
     spec = OperatorSpec(alphas[0], r, eps_factor, neighbor_factor)
     return tuple(_build_many(cloud, index, alphas, spec))
@@ -652,8 +641,9 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     monomials (the constant moment participates only for odd |alpha|, the
     only case where it is in the basis). Build acceptance requires the
     deviation to stay below 1e-8 everywhere. `cloud` must == the cloud the
-    operator was built on (ValueError otherwise). Blocks of nodes run on the
-    CPUs of the affinity mask, and the result does not depend on that count.
+    operator was built on (ValueError otherwise). The nodes of each support
+    size k run in blocks as the build's do (k * l entries per node), on the
+    CPUs of the affinity mask; the result depends on neither cut nor count.
     """
     if op.cloud != cloud:
         raise ValueError("operator was built for a different cloud")
@@ -661,16 +651,18 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     target = _rhs(basis, op.alpha)
     ids, w, ptr = op._matrix.indices, op._matrix.data, op._matrix.indptr
     starts, counts = ptr[:-1], np.diff(ptr) - 1  # rows without the center entry
-    out = np.empty(op.n)
-    # a chunk holds nodes of one support size, so each node's moments come from
-    # the (k, l) product a single-node check runs; chunks bound the temporaries
+    # one support size per chunk: each node's moments are its single-node product
     def check(nodes):
         at = starts[nodes, None] + np.arange(counts[nodes[0]])  # stencil entries
         eps = op.eps[nodes, None]
         v = (cloud.coords[nodes, None] - cloud.coords[ids[at]]) / eps[..., None]
         V = _basis_matrix(v, chain)
         Z = np.matmul(V.transpose(0, 2, 1), (w[at] * eps**op.order)[..., None])
-        out[nodes] = np.max(np.abs(Z[..., 0] - target), axis=1)
+        return nodes, np.max(np.abs(Z[..., 0] - target), axis=1)
 
-    _in_chunks(check, [np.flatnonzero(counts == k) for k in np.unique(counts)])
+    out = np.empty(op.n)
+    for k in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == k)
+        for nodes, deviation in _in_chunks(check, group, k * len(basis)):
+            out[nodes] = deviation
     return out

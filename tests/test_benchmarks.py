@@ -369,6 +369,14 @@ class TestGenerators:
         assert np.array_equal(a.coords, b.coords)
         assert not np.array_equal(a.coords, c.coords)
 
+    @pytest.mark.parametrize("seed,message", [
+        (1.5, "jitter seed must be an integer, got 1.5"),
+        (-1, "jitter seed must be non-negative, got -1"),
+    ])
+    def test_bad_seed(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            generate_nodes("franke", 1, kind="jittered", seed=seed)
+
     def test_plate_jittered_respects_hole(self):
         cloud = generate_nodes("plate", 1, kind="jittered", seed=2)
         r = np.sqrt(np.sum(cloud.coords**2, axis=1))

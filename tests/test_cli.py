@@ -245,6 +245,14 @@ class TestBenchmark:
         assert "nrmse" in doc["levels"][0]
         assert "level=0" in captured.err
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code = run(["benchmark", "--problem", "franke", "--level", "0",
+                    "--kind", "jittered", "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: jitter seed must be non-negative, got -1\n"
+        )
+
     def test_report_file_and_error_decreases(self, tmp_path, capsys):
         p0 = tmp_path / "l0.json"
         p2 = tmp_path / "l2.json"

@@ -159,6 +159,22 @@ class TestCsvWrite:
         with pytest.raises(ValueError, match="has 3 rows, cloud has 2"):
             write_field_csv(tmp_path / "out.csv", cloud, {"s": tensor})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_before_writing(self, tmp_path, bad):
+        # the reader rejects non-finite cells, so the writer does not make them
+        cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        tensor = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        tensor[1, 1] = bad
+        cases = [
+            ({"f": np.array([1.0, bad])}, "'f'"),
+            ({"f": np.ones(2), "s": SymTensorField(tensor, dim=2)}, "'sxy'"),
+        ]
+        for fields, column in cases:
+            path = tmp_path / "out.csv"
+            with pytest.raises(ValueError, match=f"column {column} holds non-finite"):
+                write_field_csv(path, cloud, fields)
+            assert not path.exists()
+
     def test_colliding_expanded_names_rejected(self, tmp_path):
         cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]))
         u = np.zeros((2, 2))
@@ -285,9 +301,13 @@ class TestMshRead:
 
     def test_unknown_version_unsupported(self, tmp_path):
         path = tmp_path / "mesh.msh"
-        path.write_text("$MeshFormat\n3.0 0 8\n$EndMeshFormat\n$Nodes\n0\n$EndNodes\n")
-        with pytest.raises(UnsupportedFormatError):
-            read_msh_nodes(path)
+        # Gmsh writes MSH 4.0, whose node section has another layout, as "4 0 8"
+        for version in ("3.0", "4"):
+            path.write_text(
+                f"$MeshFormat\n{version} 0 8\n$EndMeshFormat\n$Nodes\n0\n$EndNodes\n"
+            )
+            with pytest.raises(UnsupportedFormatError, match=f"version {version}$"):
+                read_msh_nodes(path)
 
     def test_missing_nodes_section(self, tmp_path):
         path = tmp_path / "mesh.msh"

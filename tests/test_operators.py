@@ -433,6 +433,7 @@ class TestBuildOperator:
         cloud, index = indexed2d
         op = build_operator(cloud, index, OperatorSpec(alpha=(1, 0)))
         assert op.n == cloud.n
+        assert op.dim == cloud.dim
         assert op.support_size.shape == (cloud.n,)
         assert op.condition.shape == (cloud.n,)
         assert np.all(op.support_size >= 1)
@@ -881,6 +882,44 @@ class TestParallelBuild:
             _assert_same_bits(serial, ops)
             for want, got in zip(serial_check, check):
                 assert np.array_equal(want, got)
+
+    def test_cut_follows_the_block_budget(self, monkeypatch):
+        monkeypatch.setattr(operators, "_workers", lambda: 2)
+        for n, width, sizes in [
+            (289, 72, [289]),  # franke L1 in 2-d: under half a block
+            (1089, 72, [545, 544]),  # franke L2
+            (3321, 200, [416] + [415] * 7),  # cantilever L1 in 3-d, k * l = 20 * 10
+            (491, 300, [246, 245]),  # its regrowth at k = 30
+            (1, 107_268, [1]),  # 3-d degree 6 after five regrowths: over a block
+        ]:
+            assert operators._in_chunks(len, np.arange(n), width) == sizes
+
+    @pytest.mark.parametrize("problem,level,kind", [
+        ("franke", 1, "jittered"),
+        ("cantilever", 0, "structured"),
+    ])
+    def test_one_node_chunks_give_the_same_bits(
+        self, problem, level, kind, monkeypatch
+    ):
+        cloud = generate_nodes(problem, level, kind)
+        index = build_index(cloud)
+        want, want_check, _ = _build_on(2, cloud, index, monkeypatch)
+        sizes, cut = [], operators._in_chunks
+
+        def in_chunks(fn, nodes, width):
+            def sized(chunk):
+                sizes.append(chunk.size)
+                return fn(chunk)
+
+            return cut(sized, nodes, width)
+
+        monkeypatch.setattr(operators, "_in_chunks", in_chunks)
+        monkeypatch.setattr(operators, "_BLOCK", 10)  # under one node's entries
+        got, got_check, _ = _build_on(2, cloud, index, monkeypatch)
+        assert set(sizes) == {1}
+        _assert_same_bits(want, got)
+        for a, b in zip(want_check, got_check):
+            assert np.array_equal(a, b)
 
     def test_failed_nodes_do_not_depend_on_worker_count(self, monkeypatch):
         cloud = _clustered_cloud()
