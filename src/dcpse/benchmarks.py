@@ -25,12 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .cloud import PointCloud, SpatialIndex, build_index, normalized_spacing
+from .cloud import PointCloud, SpatialIndex, _integer, build_index, normalized_spacing
 from .elasticity import ElasticMaterial, recover
 from .operators import (
     OperatorSpec,
     StencilOperator,
-    _integer,
     gradient_operator,
     verify_moments,
 )
@@ -240,12 +239,20 @@ def cantilever_stress(coords, params: CantileverParams | None = None):
 # error metrics
 
 
-def nrmse(reference: np.ndarray, approx: np.ndarray) -> float:
-    """RMS error normalized by the range of the reference values."""
+def _error_pair(reference, approx) -> tuple[np.ndarray, np.ndarray]:
     ref = np.asarray(reference, dtype=np.float64).ravel()
     app = np.asarray(approx, dtype=np.float64).ravel()
     if ref.shape != app.shape:
         raise ValueError("reference and approximation must have equal length")
+    for name, values in (("reference", ref), ("approximation", app)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} contains non-finite values")
+    return ref, app
+
+
+def nrmse(reference: np.ndarray, approx: np.ndarray) -> float:
+    """RMS error normalized by the range of the reference values."""
+    ref, app = _error_pair(reference, approx)
     span = float(np.max(ref) - np.min(ref))
     if span <= 0.0:
         raise ValueError("reference field has zero range, NRMSE is undefined")
@@ -254,10 +261,7 @@ def nrmse(reference: np.ndarray, approx: np.ndarray) -> float:
 
 def linf(reference: np.ndarray, approx: np.ndarray) -> float:
     """Maximum absolute nodal error."""
-    ref = np.asarray(reference, dtype=np.float64).ravel()
-    app = np.asarray(approx, dtype=np.float64).ravel()
-    if ref.shape != app.shape:
-        raise ValueError("reference and approximation must have equal length")
+    ref, app = _error_pair(reference, approx)
     return float(np.max(np.abs(app - ref)))
 
 

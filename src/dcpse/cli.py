@@ -14,8 +14,8 @@ and DuplicateNodeError among them), FileNotFoundError, IsADirectoryError and
 PermissionError.
 
 Human-oriented diagnostics (support sizes, condition estimates, moment
-residuals) and library warnings, one "warning: ..." line each, go to
-stderr; results go to the requested output files or stdout.
+residuals) and the one failure line go to stderr; results go to the
+requested output files or stdout.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 import numpy as np
 
@@ -258,16 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings():  # library warnings as one plain line each
-        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
-        try:
-            return args.func(args)
-        except (OperatorBuildError, IllConditionedNodeError) as err:
-            print(f"numerical failure: {err}", file=sys.stderr)
-            return _EXIT_NUMERICAL
-        except _USAGE_ERRORS as err:
-            print(f"error: {err}", file=sys.stderr)
-            return _EXIT_USAGE
+    try:
+        return args.func(args)
+    except (OperatorBuildError, IllConditionedNodeError) as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return _EXIT_NUMERICAL
+    except _USAGE_ERRORS as err:
+        print(f"error: {err}", file=sys.stderr)
+        return _EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -4,17 +4,25 @@ A point cloud is an ordered set of nodes in 1, 2, or 3 dimensions. Node ids
 are the row indices of the coordinate array and every downstream structure
 (neighborhoods, operators, recovered fields) refers to nodes by these ids.
 Neighbor queries are deterministic: they return exactly the ids a brute-force
-distance scan would return, with ties broken by ascending node id.
+distance scan would return, with ties broken by ascending node id. A cloud may
+hold coincident nodes; a neighbor query at one raises DuplicateNodeError.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class EmptyCloudError(ValueError):
@@ -117,22 +125,12 @@ class NeighborSet:
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
-    """Build the spatial index for a cloud.
+    """Build the k-d tree of a cloud.
 
-    Exact duplicate nodes are permitted in storage but reported through the
-    warning channel here; operator construction will reject the affected
-    nodes later.
+    Coincident nodes are indexed as they are; a query at one raises
+    DuplicateNodeError, and the operator build names each in its failures.
     """
-    tree = cKDTree(cloud.coords)
-    pairs = tree.query_pairs(r=0.0)
-    if pairs:
-        sample = sorted(pairs)[:5]
-        warnings.warn(
-            f"cloud contains {len(pairs)} coincident node pair(s), e.g. {sample}; "
-            f"operators cannot be built at these nodes",
-            stacklevel=2,
-        )
-    return SpatialIndex(cloud=cloud, tree=tree)
+    return SpatialIndex(cloud=cloud, tree=cKDTree(cloud.coords))
 
 
 def k_nearest(index: SpatialIndex, center: int, k: int) -> NeighborSet:
@@ -150,7 +148,7 @@ def k_nearest(index: SpatialIndex, center: int, k: int) -> NeighborSet:
     k : int
         Number of neighbors, 1 <= k <= n-1.
     """
-    center = int(center)
+    center, k = _integer("center", center), _integer("k", k)
     if not 0 <= center < index.cloud.n:
         raise IndexError(
             f"center id {center} out of range for cloud of {index.cloud.n} nodes"

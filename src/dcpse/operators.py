@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ from .cloud import (
     NeighborSet,
     PointCloud,
     SpatialIndex,
+    _integer,
     _k_nearest_arrays,
     _spacing,
 )
@@ -80,13 +80,6 @@ class OperatorBuildError(RuntimeError):
 def multi_index_order(alpha) -> int:
     """Total order |alpha| of a derivative multi-index."""
     return int(sum(alpha))
-
-
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _validate_alpha(alpha) -> tuple[int, ...]:
@@ -266,46 +259,33 @@ def _assemble(offsets: np.ndarray, eps: np.ndarray, chain):
     return V, E, np.matmul(B.transpose(0, 2, 1), B)
 
 
-def _solve(V: np.ndarray, E: np.ndarray, A: np.ndarray, rhs: np.ndarray):
+def _solve(A: np.ndarray, rhs: np.ndarray):
     """Solve A a = b at every node of a stack, for each column b of rhs (l, c).
 
-    For k >= l each A is inverted once: the 1-norm condition estimate
-    |A| |A^-1| (the bits of np.linalg.cond(A, 1)) must be finite and at
-    most _COND_THRESHOLD = 1e12, and a = A^-1 b. For k < l (the whole cloud
-    is smaller than the basis) there is no gate and a = A^+ b, the
-    minimal-norm solution from the SVD of B. Either way
-    |A a - b| <= 1e-10 (1 + |b|) is enforced per column. Returns the
-    condition estimates (m,), inf for k < l, the coefficients (c, m, l, 1),
-    and the failure detail of each failed row.
+    Each A is inverted once: the 1-norm condition estimate |A| |A^-1| (the
+    bits of np.linalg.cond(A, 1)) must be finite and at most
+    _COND_THRESHOLD = 1e12, a = A^-1 b, and |A a - b| <= 1e-10 (1 + |b|)
+    is enforced per column. Returns the condition estimates (m,), the
+    coefficients (c, m, l, 1), and the failure detail of each failed row.
     """
-    m, k, l = V.shape
+    m, l, _ = A.shape
     why: dict[int, str] = {}
-    if k >= l:
-        try:
-            inv = np.linalg.inv(A)
-        except np.linalg.LinAlgError:  # one singular A fails the stack: one by one,
-            inv = np.full_like(A, np.inf)  # a singular A keeps cond = inf
-            for i in range(m):
-                with contextlib.suppress(np.linalg.LinAlgError):
-                    inv[i] = np.linalg.inv(A[i : i + 1])[0]
-        with np.errstate(all="ignore"):  # the norms np.linalg.cond(A, 1) takes
-            cond = np.linalg.norm(A, 1, (1, 2)) * np.linalg.norm(inv, 1, (1, 2))
-        live = np.isfinite(cond) & (cond <= _COND_THRESHOLD)
-        for i in np.flatnonzero(~live).tolist():
-            why[i] = (
-                f"condition estimate {cond[i]:.3e} exceeds {_COND_THRESHOLD:.3e}"
-                if np.isfinite(cond[i])
-                else "moment matrix is numerically singular"
-            )
-    else:
-        cond = np.full(m, np.inf)
-        _, s, vt = np.linalg.svd(E[..., None] * V, full_matrices=False)
-        keep = s > np.where(s[:, :1] > 0, s[:, :1] * 1e-13, np.inf)
-        live = keep[:, 0]
-        for i in np.flatnonzero(~live).tolist():
-            why[i] = "moment matrix is numerically zero"
-        inv_s2 = np.divide(1.0, s**2, out=np.zeros_like(s), where=keep)
-        inv = np.matmul(vt.transpose(0, 2, 1) * inv_s2[:, None, :], vt)  # V S^-2 V^T
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:  # one singular A fails the stack: one by one,
+        inv = np.full_like(A, np.inf)  # a singular A keeps cond = inf
+        for i in range(m):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[i] = np.linalg.inv(A[i : i + 1])[0]
+    with np.errstate(all="ignore"):  # the norms np.linalg.cond(A, 1) takes
+        cond = np.linalg.norm(A, 1, (1, 2)) * np.linalg.norm(inv, 1, (1, 2))
+    live = np.isfinite(cond) & (cond <= _COND_THRESHOLD)
+    for i in np.flatnonzero(~live).tolist():
+        why[i] = (
+            f"condition estimate {cond[i]:.3e} exceeds {_COND_THRESHOLD:.3e}"
+            if np.isfinite(cond[i])
+            else "moment matrix is numerically singular"
+        )
     A, inv = A[live], inv[live]
     coeffs = np.full((rhs.shape[1], m, l, 1), np.nan)
     ok = np.ones(A.shape[0], dtype=bool)
@@ -342,17 +322,14 @@ def assemble_moment_system(
 
     The builder's assembly stage on a batch of one, so the arrays are the
     bits the builder uses at this node. Raises InsufficientSupportError
-    when the support has fewer nodes than basis monomials and is not the
-    rest of the cloud: the builder accepts such a support only when it
-    spans the whole cloud, and then the minimal-norm solution iff its
-    residual passes.
+    when the support has fewer nodes than basis monomials.
     """
     if not eps > 0:
         raise ValueError(f"kernel width eps must be positive, got {eps}")
     _check_dim(spec.alpha, cloud)
     basis, chain = _basis_cached(spec.alpha, spec.r)
     k, l = len(neighbors), len(basis)
-    if k < min(l, cloud.n - 1):
+    if k < l:
         raise InsufficientSupportError(
             f"node {neighbors.node}: support of {k} nodes cannot determine "
             f"{l} basis moments"
@@ -370,8 +347,7 @@ def solve_kernel_coefficients(system: MomentSystem) -> np.ndarray:
     solver and the same bits. Raises IllConditionedNodeError naming the
     system's node when a gate fails.
     """
-    V, E, A = (x[None] for x in (system.V, system.E, system.A))
-    _, coeffs, why = _solve(V, E, A, system.b[:, None])
+    _, coeffs, why = _solve(system.A[None], system.b[:, None])
     if why:
         raise IllConditionedNodeError(system.node, why[0])
     return coeffs[0, 0, :, 0]
@@ -484,7 +460,7 @@ def _solve_block(
     offsets = cloud.coords[nodes, None] - cloud.coords[ids]  # center minus neighbor
     eps = spec.eps_factor * _spacing(offsets)
     V, E, A = _assemble(offsets, eps, _basis_cached(spec.alpha, spec.r)[1])
-    cond, coeffs, why = _solve(V, E, A, rhs)
+    cond, coeffs, why = _solve(A, rhs)
     rows = nodes.tolist()
     retry = {rows[i]: str(IllConditionedNodeError(rows[i], w)) for i, w in why.items()}
     ok = np.ones(nodes.size, dtype=bool)
@@ -505,9 +481,9 @@ def _build_many(
     moment matrix coincide; only the right-hand sides differ.
 
     Each growth attempt is one batched pass over the pending nodes, in
-    blocks; the nodes whose support fails a gate are regrown together.
-    Growth stops at k = n - 1, so a cloud smaller than the basis (k < l) has
-    one attempt, at its minimal-norm solve.
+    blocks; the nodes whose support fails a gate are regrown together, up
+    to k = n - 1. A cloud of at most l nodes cannot hold a support of l and
+    raises InsufficientSupportError before the first attempt.
     """
     if index.cloud != cloud:
         raise ValueError("spatial index was built for a different cloud")
@@ -515,9 +491,11 @@ def _build_many(
     rhs = np.column_stack([_rhs(basis, a) for a in alphas])
     l = len(basis)
     n = cloud.n
+    if n - 1 < l:
+        raise InsufficientSupportError(
+            f"cloud of {n} nodes cannot determine {l} basis moments"
+        )
     k = min(math.ceil(spec.neighbor_factor * l), n - 1)
-    if k < 1:
-        raise InsufficientSupportError("cloud has no neighbors to build stencils from")
 
     blocks, failed = [], {}
     pending = np.arange(n)
@@ -577,11 +555,13 @@ def build_operator(
 ) -> StencilOperator:
     """Build the D^alpha stencil operator at every node of the cloud.
 
-    Initial support size is k = ceil(neighbor_factor * l), capped at n - 1.
-    A support whose condition estimate exceeds 1e12 or whose moment
-    residual fails is regrown by 1.5x, at most 5 times. If any node still
-    fails, an OperatorBuildError listing the failing node ids is raised. An
-    index built over other coordinates than the cloud's raises ValueError.
+    Initial support size is k = ceil(neighbor_factor * l), capped at n - 1,
+    where l is the number of basis monomials; a cloud of at most l nodes
+    raises InsufficientSupportError. A support whose condition estimate
+    exceeds 1e12 or whose moment residual fails is regrown by 1.5x, at
+    most 5 times. If any node still fails, an OperatorBuildError listing
+    the failing node ids is raised. An index built over other coordinates
+    than the cloud's raises ValueError.
 
     Each growth attempt is one batched pass over the pending nodes, in blocks
     of at most 102,400 stacked entries (k * l per node) run on the CPUs of the

@@ -300,6 +300,20 @@ class TestMetrics:
         with pytest.raises(ValueError, match="equal length"):
             linf(np.ones(3), np.ones(4))
 
+    @pytest.mark.parametrize("metric", [nrmse, linf])
+    @pytest.mark.parametrize(
+        "reference, approx, name",
+        [
+            ([0.0, np.nan, 1.0], [0.0, 0.0, 1.0], "reference"),
+            ([0.0, 0.5, 1.0], [0.0, np.inf, 1.0], "approximation"),
+            ([0.0, 0.5, 1.0], [-np.inf, 0.5, 1.0], "approximation"),
+        ],
+        ids=["nan-reference", "inf-approximation", "minus-inf-approximation"],
+    )
+    def test_non_finite_input_rejected(self, metric, reference, approx, name):
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite values$"):
+            metric(np.array(reference), np.array(approx))
+
     @given(
         scale=st.floats(0.01, 1e6),
         shift=st.floats(-1e6, 1e6),

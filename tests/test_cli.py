@@ -117,8 +117,7 @@ class TestDerive:
         assert code == 1
         assert "failure" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("always::UserWarning")
-    def test_library_warning_is_one_plain_line(self, tmp_path, capsys):
+    def test_coincident_cloud_is_one_failure_line(self, tmp_path, capsys):
         cloud = jittered_cloud(2, 8, seed=4)
         twin = PointCloud(np.vstack([cloud.coords, cloud.coords[20]]))
         path = make_csv(tmp_path / "twin.csv", twin, {"f": twin.coords[:, 0]})
@@ -127,14 +126,11 @@ class TestDerive:
              "--output", str(tmp_path / "o.csv")]
         )
         assert code == 1
-        err = capsys.readouterr().err
-        lines = err.splitlines()
-        assert lines[0] == (
-            "warning: cloud contains 1 coincident node pair(s), e.g. [(20, 64)]; "
-            "operators cannot be built at these nodes"
-        )
-        assert lines[1].startswith("numerical failure: ")
-        assert "cli.py" not in err
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: operator construction failed at node(s) 20, 64; "
+            "first failure: node 20 coincides exactly with node 64; "
+            "derivative stencils are undefined at coincident nodes"
+        ]
 
 
 class TestRecover:

@@ -63,21 +63,6 @@ class TestPointCloud:
             PointCloud(np.zeros((3, 2, 1)))
 
 
-class TestBuildIndex:
-    def test_duplicate_coordinates_warn(self):
-        coords = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-        with pytest.warns(UserWarning, match="coincident"):
-            build_index(PointCloud(coords))
-
-    def test_distinct_coordinates_silent(self):
-        cloud = jittered_cloud(2, 5)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            build_index(cloud)
-
-
 class TestKNearest:
     def test_uniform_1d_middle(self):
         h = 0.1
@@ -109,6 +94,20 @@ class TestKNearest:
         with pytest.raises(ValueError):
             k_nearest(index, 0, 0)
 
+    @pytest.mark.parametrize(
+        "center, k, name",
+        [(2.7, 3, "center"), ("3", 3, "center"), (0, 2.5, "k"), (0, 3.0, "k")],
+    )
+    def test_non_integer_center_or_k_rejected(self, center, k, name):
+        index = build_index(jittered_cloud(2, 3))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            k_nearest(index, center, k)
+
+    def test_numpy_integer_center_and_k_accepted(self):
+        index = build_index(jittered_cloud(2, 3))
+        got = k_nearest(index, np.int64(4), np.int32(3))
+        assert got.ids.tolist() == k_nearest(index, 4, 3).ids.tolist()
+
     def test_center_out_of_range(self):
         cloud = jittered_cloud(2, 3)
         index = build_index(cloud)
@@ -117,10 +116,8 @@ class TestKNearest:
 
     def test_duplicate_node_reported_with_ids(self):
         coords = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-        with pytest.warns(UserWarning):
-            index = build_index(PointCloud(coords))
         with pytest.raises(DuplicateNodeError) as err:
-            k_nearest(index, 2, 2)
+            k_nearest(build_index(PointCloud(coords)), 2, 2)
         assert err.value.node == 2
         assert err.value.twin == 0
 

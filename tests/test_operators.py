@@ -139,18 +139,18 @@ class TestMomentSystem:
     def test_vandermonde_symmetric_1d(self):
         h = 0.1
         cloud, ns = self._symmetric_pair(h)
-        spec = OperatorSpec(alpha=(1,), r=2)
+        spec = OperatorSpec(alpha=(1,), r=1)
         system = assemble_moment_system(cloud, ns, spec, eps=h)
         # scaled offsets are center minus neighbor over eps: +1 and -1
         rows = {tuple(row) for row in system.V}
-        assert rows == {(1.0, 1.0, 1.0), (1.0, -1.0, 1.0)}
-        assert system.A.shape == (3, 3)
+        assert rows == {(1.0, 1.0), (1.0, -1.0)}
+        assert system.A.shape == (2, 2)
         assert np.array_equal(system.A, system.A.T)
 
     def test_window_scaling_with_eps(self):
         h = 0.1
         cloud, ns = self._symmetric_pair(h)
-        spec = OperatorSpec(alpha=(1,), r=2)
+        spec = OperatorSpec(alpha=(1,), r=1)
         eps0 = h
         system = assemble_moment_system(cloud, ns, spec, eps=2 * eps0)
         offsets = cloud.coords[1] - cloud.coords[ns.ids]
@@ -283,25 +283,15 @@ class TestMomentSystem:
             good.append(assemble_moment_system(cloud, ns, spec, eps))
         singular = good[0].A.copy()
         singular[-1] = singular[:, -1] = 0.0  # an exactly zero pivot
-        rows = (good[0], good[0], good[1])  # the middle A is replaced below
-        V = np.stack([s.V for s in rows])
-        E = np.stack([s.E for s in rows])
         A = np.stack([good[0].A, singular, good[1].A])
         rhs = good[0].b[:, None]
-        cond, coeffs, why = _solve(V, E, A, rhs)
+        cond, coeffs, why = _solve(A, rhs)
         assert why == {1: "moment matrix is numerically singular"}
         assert cond[1] == np.inf and np.all(np.isnan(coeffs[:, 1]))
         for i, s in ((0, good[0]), (2, good[1])):
-            alone_cond, alone, _ = _solve(s.V[None], s.E[None], s.A[None], rhs)
+            alone_cond, alone, _ = _solve(s.A[None], rhs)
             assert cond[i] == alone_cond[0]
             assert np.array_equal(coeffs[:, i], alone[:, 0])
-
-    def test_zero_underdetermined_stack_named(self):
-        # k < l has no condition gate; an all-zero B still fails by name
-        V, E, A = np.zeros((1, 2, 3)), np.ones((1, 2)), np.zeros((1, 3, 3))
-        cond, coeffs, why = _solve(V, E, A, np.array([[0.0], [-1.0], [0.0]]))
-        assert why == {0: "moment matrix is numerically zero"}
-        assert cond[0] == np.inf and np.all(np.isnan(coeffs))
 
     @pytest.mark.parametrize(
         "eps, alpha, match",
@@ -319,8 +309,7 @@ class TestMomentSystem:
             assemble_moment_system(cloud, ns, spec, eps)
 
     def test_insufficient_support(self):
-        # two of the three other nodes cannot determine l = 3 moments; the
-        # symmetric pair above is the rest of its cloud, so it assembles
+        # two of the three other nodes cannot determine l = 3 moments
         cloud = PointCloud(np.array([[-0.1], [0.0], [0.1], [0.3]]))
         ns = k_nearest(build_index(cloud), 1, 2)
         spec = OperatorSpec(alpha=(1,), r=2)
@@ -328,11 +317,11 @@ class TestMomentSystem:
             assemble_moment_system(cloud, ns, spec, eps=0.1)
 
     def test_central_difference_weights(self):
-        # the smallest symmetric stencil reproduces classical central
-        # differences: d/dx weights -+1/(2h) after scaling
+        # the smallest symmetric stencil (k = l = 2 at r = 1) reproduces
+        # classical central differences: d/dx weights -+1/(2h) after scaling
         h = 0.1
         cloud, ns = self._symmetric_pair(h)
-        spec = OperatorSpec(alpha=(1,), r=2)
+        spec = OperatorSpec(alpha=(1,), r=1)
         system = assemble_moment_system(cloud, ns, spec, eps=h)
         coeffs = solve_kernel_coefficients(system)
         w = kernel_weights(system, coeffs)
@@ -362,12 +351,13 @@ class TestMomentSystem:
         assert val == pytest.approx(2.0, rel=1e-10)
 
     def test_ill_conditioned_error_names_the_systems_node(self):
-        # the end node of the symmetric 1-d triple has an inconsistent
-        # d/dx system; the error names the node the system was built at
-        h = 0.1
-        cloud = PointCloud(np.array([[-h], [0.0], [h]]))
-        ns = k_nearest(build_index(cloud), 0, 2)
-        system = assemble_moment_system(cloud, ns, OperatorSpec(alpha=(1,)), eps=h)
+        # on 5 collinear 2-d nodes the x and y columns of V are proportional,
+        # so A is singular; the error names the node the system was built at
+        t = np.linspace(0.0, 1.0, 5)
+        cloud = PointCloud(np.column_stack([t, 2.0 * t]))
+        ns = k_nearest(build_index(cloud), 0, 4)
+        spec = OperatorSpec(alpha=(1, 0), r=1)
+        system = assemble_moment_system(cloud, ns, spec, eps=0.25)
         with pytest.raises(IllConditionedNodeError, match="at node 0: ") as err:
             solve_kernel_coefficients(system)
         assert err.value.node == 0
@@ -480,52 +470,35 @@ class TestBuildOperator:
     def test_duplicate_node_fails_with_its_own_message(self):
         cloud = jittered_cloud(2, 8, seed=4)
         twin = PointCloud(np.vstack([cloud.coords, cloud.coords[20]]))
-        with pytest.warns(UserWarning, match="coincident"):
-            index = build_index(twin)
         with pytest.raises(OperatorBuildError) as err:
-            build_operator(twin, index, OperatorSpec(alpha=(1, 0)))
+            build_operator(twin, build_index(twin), OperatorSpec(alpha=(1, 0)))
         assert err.value.failed_nodes == {
             20: str(DuplicateNodeError(20, 64)),
             64: str(DuplicateNodeError(64, 20)),
         }
 
-    def test_cloud_smaller_than_basis_passes_or_reports_each_node(self):
-        # 3 nodes and l = 3 basis monomials: every support is the rest of
-        # the cloud (k = 2 < l) and gets its minimal-norm solve
-        def per_node(cloud, index, spec, p):
-            ns = k_nearest(index, p, 2)
-            eps = average_spacing(cloud, ns)
-            system = assemble_moment_system(cloud, ns, spec, eps)
-            coeffs = solve_kernel_coefficients(system)
-            return ns.ids, eps, kernel_weights(system, coeffs)
-
-        # on a line along x, d/dx at r = 1 has a consistent system everywhere
-        cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
+    @pytest.mark.parametrize(
+        "coords, alpha, r",
+        [
+            ([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], (1, 0), 1),
+            ([[-0.1], [0.0], [0.1]], (1,), 2),
+        ],
+        ids=["line-2d-r1", "triple-1d-r2"],
+    )
+    def test_cloud_of_at_most_l_nodes_is_insufficient(self, coords, alpha, r):
+        # 3 nodes and l = 3 basis monomials: no support of l nodes exists,
+        # so every entry point stops at the size check
+        cloud = PointCloud(np.array(coords))
         index = build_index(cloud)
-        spec = OperatorSpec(alpha=(1, 0), r=1)
-        op = build_operator(cloud, index, spec)
-        assert op.support_size.tolist() == [2, 2, 2]
-        assert np.all(op.condition == np.inf)
-        got = op.apply(2.0 * cloud.coords[:, 0] + 3.0)
-        assert np.max(np.abs(got - 2.0)) < 1e-12
-        for p in range(cloud.n):
-            ids, eps, w = per_node(cloud, index, spec, p)
-            assert np.array_equal(op.neighbor_ids[p], ids)
-            assert op.eps[p] == eps
-            assert np.array_equal(op.weights[p], w)
-
-        # in 1-d at r = 2, only the symmetric middle node is consistent
-        h = 0.1
-        cloud = PointCloud(np.array([[-h], [0.0], [h]]))
-        index = build_index(cloud)
-        spec = OperatorSpec(alpha=(1,))
-        with pytest.raises(OperatorBuildError) as err:
+        spec = OperatorSpec(alpha=alpha, r=r)
+        with pytest.raises(InsufficientSupportError, match="cloud of 3 nodes"):
             build_operator(cloud, index, spec)
-        assert sorted(err.value.failed_nodes) == [0, 2]
-        for p, message in err.value.failed_nodes.items():
-            with pytest.raises(IllConditionedNodeError) as want:
-                per_node(cloud, index, spec, p)
-            assert message == str(want.value)
+        with pytest.raises(InsufficientSupportError, match="cloud of 3 nodes"):
+            gradient_operator(cloud, index, r)
+        for p in range(cloud.n):
+            ns = k_nearest(index, p, 2)
+            with pytest.raises(InsufficientSupportError, match=f"node {p}: "):
+                assemble_moment_system(cloud, ns, spec, average_spacing(cloud, ns))
 
     def test_tiny_cond_threshold_exhausts_growth(self, indexed2d, monkeypatch):
         cloud, index = indexed2d
@@ -1015,3 +988,37 @@ class TestProperties:
         values = a * cloud.coords[:, 0] + b * cloud.coords[:, 1] + c
         got = op.apply(values)
         assert np.max(np.abs(got - a)) < 1e-9 * max(1.0, abs(a))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tiny_cloud_builds_or_raises_by_its_size(self, data):
+        # a build returns weights that pass verify_moments or raises: the
+        # size check when the cloud has at most l nodes, else a node report.
+        # Lattice coordinates bring coincident, collinear and symmetric nodes.
+        d = data.draw(st.integers(1, 3), label="dim")
+        r = data.draw(st.integers(1, 3), label="r")
+        alpha = data.draw(
+            st.lists(st.integers(0, 2), min_size=d, max_size=d).filter(
+                lambda a: 1 <= sum(a) <= 2
+            ),
+            label="alpha",
+        )
+        l = len(monomial_basis(alpha, r))
+        n = data.draw(st.integers(2, l + 4), label="n")
+        coord = st.one_of(
+            st.integers(-4, 4).map(lambda i: i / 4),
+            st.floats(-1.0, 1.0, allow_subnormal=False),
+        )
+        row = st.lists(coord, min_size=d, max_size=d)
+        coords = data.draw(st.lists(row, min_size=n, max_size=n), label="coords")
+        cloud = PointCloud(np.array(coords))
+        spec = OperatorSpec(alpha=tuple(alpha), r=r)
+        try:
+            op = build_operator(cloud, build_index(cloud), spec)
+        except InsufficientSupportError:
+            assert n <= l
+        except OperatorBuildError:
+            assert n > l
+        else:
+            assert n > l
+            assert float(np.max(verify_moments(op, cloud))) <= 1e-8
