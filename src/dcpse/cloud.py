@@ -184,7 +184,7 @@ def _k_nearest_arrays(
     x = coords[nodes]
     dist, near = index.tree.query(x, k=k + 2)
     cutoffs = dist[:, k] * (1.0 + 1e-12) + 1e-300
-    tied = (dist[:, k + 1] <= cutoffs) | (k + 2 > n)
+    tied = dist[:, k + 1] <= cutoffs
     balls = index.tree.query_ball_point(x[tied], r=cutoffs[tied], return_sorted=False)
     sizes = np.full(nodes.size, k + 1)
     sizes[tied] = list(map(len, balls))
@@ -225,7 +225,7 @@ def normalized_spacing(n: int, d: int) -> float:
     """
     if d not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2, or 3, got {d}")
-    if n < 2:
+    if _integer("n", n) < 2:
         raise ValueError(f"need at least 2 nodes to define a spacing, got {n}")
     root = float(n) ** (1.0 / d)
     return 1.0 / (root - 1.0)

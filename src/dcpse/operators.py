@@ -242,10 +242,9 @@ def _rhs(basis: tuple[tuple[int, ...], ...], alpha: tuple[int, ...]) -> np.ndarr
     return b
 
 
-# The three stages below are the only numeric path: the builder runs them on
-# blocks of nodes, the per-node API on a batch of one. Every node's numbers
-# come from its own slice of each stacked operation, so they do not depend on
-# the batch.
+# The stages below are the only numeric path: the builder runs them on blocks
+# of nodes, the per-node API on a batch of one. Every node's numbers come from
+# its own slice of each stacked operation, so they do not depend on the batch.
 
 
 def _assemble(offsets: np.ndarray, eps: np.ndarray, chain):
@@ -259,17 +258,32 @@ def _assemble(offsets: np.ndarray, eps: np.ndarray, chain):
     return V, E, np.matmul(B.transpose(0, 2, 1), B)
 
 
-def _solve(A: np.ndarray, rhs: np.ndarray):
-    """Solve A a = b at every node of a stack, for each column b of rhs (l, c).
+def _fold(V: np.ndarray, E: np.ndarray, eps: np.ndarray, a: np.ndarray, order: int):
+    """Per-neighbor weights eps^-|alpha| p(v) a W(v), (m, k), from one
+    column of coefficients a (m, l, 1)."""
+    return (V @ a)[..., 0] * E**2 / eps[:, None] ** order
 
-    Each A is inverted once: the 1-norm condition estimate |A| |A^-1| (the
-    bits of np.linalg.cond(A, 1)) must be finite and at most
-    _COND_THRESHOLD = 1e12, a = A^-1 b, and |A a - b| <= 1e-10 (1 + |b|)
-    is enforced per column. Returns the condition estimates (m,), the
-    coefficients (c, m, l, 1), and the failure detail of each failed row.
+
+def _moment_deviation(V, w, eps, order: int, b: np.ndarray) -> np.ndarray:
+    """max_beta |V^T (w eps^|alpha|) - b_beta| of each node (m,), from the
+    monomials V (m, k, l) and the weights w (m, k): the build's gate and
+    verify_moments alike."""
+    Z = np.matmul(V.transpose(0, 2, 1), (w * eps[:, None] ** order)[..., None])
+    return np.max(np.abs(Z[..., 0] - b), axis=1)
+
+
+def _solve(V, E, A, eps, rhs: np.ndarray, order: int):
+    """Solve A a = b at every node of a stack for each column b of rhs (l, c),
+    and fold each a = A^-1 b into weights (c, m, k) with V, E and eps.
+
+    Each A is inverted once. The gates: the 1-norm condition estimate
+    |A| |A^-1| (the bits of np.linalg.cond(A, 1)) is finite and at most
+    _COND_THRESHOLD = 1e12, and _moment_deviation of each column's weights
+    is at most 1e-10 (1 + |b|). Returns the condition estimates (m,), the
+    coefficients (c, m, l, 1), the weights and the failure detail of each
+    failed row, whose numbers are meaningless.
     """
     m, l, _ = A.shape
-    why: dict[int, str] = {}
     try:
         inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:  # one singular A fails the stack: one by one,
@@ -277,39 +291,22 @@ def _solve(A: np.ndarray, rhs: np.ndarray):
         for i in range(m):
             with contextlib.suppress(np.linalg.LinAlgError):
                 inv[i] = np.linalg.inv(A[i : i + 1])[0]
-    with np.errstate(all="ignore"):  # the norms np.linalg.cond(A, 1) takes
+    with np.errstate(all="ignore"):  # failed rows: inf and nan, dropped later
         cond = np.linalg.norm(A, 1, (1, 2)) * np.linalg.norm(inv, 1, (1, 2))
-    live = np.isfinite(cond) & (cond <= _COND_THRESHOLD)
-    for i in np.flatnonzero(~live).tolist():
-        why[i] = (
-            f"condition estimate {cond[i]:.3e} exceeds {_COND_THRESHOLD:.3e}"
-            if np.isfinite(cond[i])
-            else "moment matrix is numerically singular"
-        )
-    A, inv = A[live], inv[live]
-    coeffs = np.full((rhs.shape[1], m, l, 1), np.nan)
-    ok = np.ones(A.shape[0], dtype=bool)
-    rows = np.flatnonzero(live)
-    # one right-hand side at a time, shaped (m, l, 1), so a shared
-    # multi-target build is bit-identical to single-target builds
-    for j, col in enumerate(rhs.T):
-        b = np.broadcast_to(col[:, None], A.shape[:2] + (1,))
-        a = np.matmul(inv, b)
-        res = (A @ a - b)[..., 0]
-        resid = np.sqrt(np.sum(res * res, axis=1))
-        bound = _RESIDUAL_TOL * (1.0 + math.sqrt(float(col @ col)))
-        bad = ~(resid <= bound) & ok
-        for i, r in zip(rows[bad].tolist(), resid[bad].tolist()):
-            why[i] = f"moment residual {r:.3e} exceeds {bound:.3e}"
-        ok &= ~bad
-        coeffs[j, live] = a
-    return cond, coeffs, why
-
-
-def _fold(V: np.ndarray, E: np.ndarray, eps: np.ndarray, a: np.ndarray, order: int):
-    """Per-neighbor weights eps^-|alpha| p(v) a W(v), (m, k), from one
-    column of coefficients a (m, l, 1)."""
-    return (V @ a)[..., 0] * E**2 / eps[:, None] ** order
+        # one right-hand side at a time, shaped (m, l, 1), so a shared
+        # multi-target build is bit-identical to single-target builds
+        coeffs = np.stack([inv @ np.broadcast_to(b[:, None], (m, l, 1)) for b in rhs.T])
+        W = np.stack([_fold(V, E, eps, a, order) for a in coeffs])
+        miss = [_moment_deviation(V, w, eps, order, b) for w, b in zip(W, rhs.T)]
+    why = {}
+    for i in np.flatnonzero(~(cond <= _COND_THRESHOLD)).tolist():
+        big = f"condition estimate {cond[i]:.3e} exceeds {_COND_THRESHOLD:.3e}"
+        why[i] = big if cond[i] < math.inf else "moment matrix is numerically singular"
+    for b, dev in zip(rhs.T, miss):
+        bound = _RESIDUAL_TOL * (1.0 + math.sqrt(float(b @ b)))
+        for i in np.flatnonzero(~(dev <= bound)).tolist():
+            why.setdefault(i, f"moment residual {dev[i]:.3e} exceeds {bound:.3e}")
+    return cond, coeffs, W, why
 
 
 def assemble_moment_system(
@@ -343,11 +340,14 @@ def assemble_moment_system(
 def solve_kernel_coefficients(system: MomentSystem) -> np.ndarray:
     """Solve the moment system for the kernel coefficient vector a.
 
-    The builder's solve stage on a batch of one: the same gates, the same
-    solver and the same bits. Raises IllConditionedNodeError naming the
+    The builder's solve stage on a batch of one: the same solver, the same
+    three gates (singular matrix, condition estimate, moments of the folded
+    weights) and the same bits. Raises IllConditionedNodeError naming the
     system's node when a gate fails.
     """
-    _, coeffs, why = _solve(system.A[None], system.b[:, None])
+    s = system
+    stack = s.V[None], s.E[None], s.A[None], np.array([s.eps]), s.b[:, None]
+    _, coeffs, _, why = _solve(*stack, s.spec.order)
     if why:
         raise IllConditionedNodeError(system.node, why[0])
     return coeffs[0, 0, :, 0]
@@ -445,11 +445,11 @@ def _solve_block(
 ):
     """One growth attempt at support size k over a block of nodes.
 
-    Runs kNN and the spacing, then the three stages (assembly, solve with
-    its gates, weight fold), each as one stacked pass over the block.
-    Returns the nodes that passed as (nodes, ids (m, k), eps, condition,
-    weights (columns, m, k)), then the error text of the nodes that failed
-    for good (coincident nodes) and of those a larger support may mend.
+    Runs kNN and the spacing, then assembly and the solve (with its weight
+    fold and gates), each as one stacked pass over the block. Returns the
+    nodes that passed as (nodes, ids (m, k), eps, condition, weights
+    (columns, m, k)), then the error text of the nodes that failed for good
+    (coincident nodes) and of those a larger support may mend.
     """
     ids, dist = _k_nearest_arrays(index, k, nodes)
     twin = dist[:, 0] <= 0.0
@@ -460,14 +460,11 @@ def _solve_block(
     offsets = cloud.coords[nodes, None] - cloud.coords[ids]  # center minus neighbor
     eps = spec.eps_factor * _spacing(offsets)
     V, E, A = _assemble(offsets, eps, _basis_cached(spec.alpha, spec.r)[1])
-    cond, coeffs, why = _solve(A, rhs)
+    cond, _, W, why = _solve(V, E, A, eps, rhs, spec.order)
     rows = nodes.tolist()
     retry = {rows[i]: str(IllConditionedNodeError(rows[i], w)) for i, w in why.items()}
-    ok = np.ones(nodes.size, dtype=bool)
-    ok[list(why)] = False
-    nodes, ids, eps, cond, V, E = (x[ok] for x in (nodes, ids, eps, cond, V, E))
-    W = np.stack([_fold(V, E, eps, a[ok], spec.order) for a in coeffs])
-    return (nodes, ids, eps, cond, W), final, retry
+    ok = np.isin(np.arange(nodes.size), list(why), invert=True)
+    return (nodes[ok], ids[ok], eps[ok], cond[ok], W[:, ok]), final, retry
 
 
 def _build_many(
@@ -557,11 +554,12 @@ def build_operator(
 
     Initial support size is k = ceil(neighbor_factor * l), capped at n - 1,
     where l is the number of basis monomials; a cloud of at most l nodes
-    raises InsufficientSupportError. A support whose condition estimate
-    exceeds 1e12 or whose moment residual fails is regrown by 1.5x, at
-    most 5 times. If any node still fails, an OperatorBuildError listing
-    the failing node ids is raised. An index built over other coordinates
-    than the cloud's raises ValueError.
+    raises InsufficientSupportError. A support is regrown by 1.5x, at most
+    5 times, when its condition estimate exceeds 1e12 or its weights miss
+    their moments by more than 1e-10 (1 + alpha!), as verify_moments reads
+    them. If any node still fails, an OperatorBuildError listing the
+    failing node ids is raised. An index built over other coordinates than
+    the cloud's raises ValueError.
 
     Each growth attempt is one batched pass over the pending nodes, in blocks
     of at most 102,400 stacked entries (k * l per node) run on the CPUs of the
@@ -619,11 +617,12 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     Z^beta = sum_q v_q^beta eps^{|alpha|} w_q from its target:
     (-1)^{|alpha|} alpha! at beta = alpha and 0 for the other basis
     monomials (the constant moment participates only for odd |alpha|, the
-    only case where it is in the basis). Build acceptance requires the
-    deviation to stay below 1e-8 everywhere. `cloud` must == the cloud the
-    operator was built on (ValueError otherwise). The nodes of each support
-    size k run in blocks as the build's do (k * l entries per node), on the
-    CPUs of the affinity mask; the result depends on neither cut nor count.
+    only case where it is in the basis). The build's gate is this same
+    computation, which accepts at most 1e-10 (1 + alpha!). `cloud` must ==
+    the cloud the operator was built on (ValueError otherwise). The nodes of
+    each support size k run in blocks as the build's do (k * l entries per
+    node), on the CPUs of the affinity mask; the result depends on neither
+    cut nor count.
     """
     if op.cloud != cloud:
         raise ValueError("operator was built for a different cloud")
@@ -634,11 +633,10 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     # one support size per chunk: each node's moments are its single-node product
     def check(nodes):
         at = starts[nodes, None] + np.arange(counts[nodes[0]])  # stencil entries
-        eps = op.eps[nodes, None]
-        v = (cloud.coords[nodes, None] - cloud.coords[ids[at]]) / eps[..., None]
+        eps = op.eps[nodes]
+        v = (cloud.coords[nodes, None] - cloud.coords[ids[at]]) / eps[:, None, None]
         V = _basis_matrix(v, chain)
-        Z = np.matmul(V.transpose(0, 2, 1), (w[at] * eps**op.order)[..., None])
-        return nodes, np.max(np.abs(Z[..., 0] - target), axis=1)
+        return nodes, _moment_deviation(V, w[at], eps, op.order, target)
 
     out = np.empty(op.n)
     for k in np.unique(counts).tolist():

@@ -28,6 +28,16 @@ from dcpse import (
 
 STEEL = ElasticMaterial(young=200e9, poisson=0.3)
 
+_BAD_HOLE = [
+    ({"a": 0.0}, "hole radius a"),
+    ({"a": -1.0}, "hole radius a"),
+    ({"a": math.inf}, "hole radius a"),
+    ({"a": math.nan}, "hole radius a"),
+    ({"sigma0": math.nan}, "remote stress sigma0"),
+    ({"sigma0": math.inf}, "remote stress sigma0"),
+]
+_BAD_HOLE_IDS = ["a-zero", "a-negative", "a-inf", "a-nan", "sigma0-nan", "sigma0-inf"]
+
 
 class TestFranke:
     def test_value_at_origin(self):
@@ -89,6 +99,12 @@ class TestKirschStress:
         with pytest.raises(ValueError):
             kirsch_stress(0.5, 0.5, a=1.0)
 
+    @pytest.mark.parametrize("kwargs,field", _BAD_HOLE, ids=_BAD_HOLE_IDS)
+    def test_bad_hole_or_load_rejected(self, kwargs, field):
+        # a = 0 used to return the plate without a hole, sigma0 = nan NaN
+        with pytest.raises(ValueError, match=field):
+            kirsch_stress(2.0, 0.5, **kwargs)
+
     def test_equilibrium_by_finite_differences(self):
         # div(sigma) = 0 away from the rim, checked component-wise
         rng = np.random.default_rng(2)
@@ -136,6 +152,11 @@ class TestKirschDisplacement:
         with pytest.raises(ValueError):
             kirsch_displacement(0.2, 0.1, STEEL)
 
+    @pytest.mark.parametrize("kwargs,field", _BAD_HOLE, ids=_BAD_HOLE_IDS)
+    def test_bad_hole_or_load_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            kirsch_displacement(2.0, 0.5, STEEL, **kwargs)
+
     def test_consistent_with_stress_via_hooke(self):
         # differentiate the displacement field numerically, push through
         # plane-strain Hooke, and compare with the closed-form stresses
@@ -171,6 +192,39 @@ class TestCantilever:
     def test_inertia(self):
         p = CantileverParams(a=2.0, b=0.5)
         assert p.inertia == pytest.approx(4 * 2.0 * 0.5**3 / 3)
+
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"a": 0.0}, "a must be positive"),
+            ({"a": -1.0}, "a must be positive"),
+            ({"b": math.nan}, "b must be positive"),
+            ({"length": -1.0}, "length must be positive"),
+            ({"length": math.inf}, "length must be positive"),
+            ({"force": math.nan}, "force must be finite"),
+            ({"force": -math.inf}, "force must be finite"),
+            ({"young": 0.0}, "Young's modulus"),
+            ({"poisson": 0.5}, "Poisson's ratio"),
+            ({"max_terms": 0}, "max_terms must be at least 1"),
+            ({"max_terms": 2.5}, "max_terms must be an integer"),
+        ],
+        ids=[
+            "a-zero", "a-negative", "b-nan", "length-negative", "length-inf",
+            "force-nan", "force-inf", "young-zero", "poisson-half", "max_terms-zero",
+            "max_terms-float",
+        ],
+    )
+    def test_bad_parameters_rejected(self, kwargs, field):
+        # a = 0 used to divide by zero in the series, a = -1, length = -1
+        # and max_terms = 0 to give numbers, max_terms = 2.5 a TypeError
+        with pytest.raises(ValueError, match=field):
+            CantileverParams(**kwargs)
+
+    def test_numpy_integer_max_terms_accepted(self):
+        coords = np.array([[0.3, 0.4, 2.0]])
+        want = cantilever_stress(coords, CantileverParams(max_terms=7))
+        got = cantilever_stress(coords, CantileverParams(max_terms=np.int64(7)))
+        assert all(np.array_equal(want[k], got[k]) for k in want)
 
     def test_tip_deflection_cubic(self):
         p = CantileverParams()

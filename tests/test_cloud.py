@@ -186,7 +186,7 @@ class TestKNearest:
     def test_bulk_arrays_match_per_node_queries(self, k):
         # tie-rich 2-d and 3-d lattices and a jittered cloud must give the
         # brute-force scan's bytes, for every node and for a subset of nodes;
-        # k None stands for n - 1, where every row takes the ball query
+        # k None stands for n - 1, where the k + 2 query returns every node
         axis = np.arange(6.0)
         xg, yg = np.meshgrid(axis, axis, indexing="ij")
         lattice = PointCloud(np.column_stack([xg.ravel(), yg.ravel()]))
@@ -294,3 +294,12 @@ class TestNormalizedSpacing:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             normalized_spacing(100, 4)
+
+    @pytest.mark.parametrize("n", [2.5, 289.0, "289", None])
+    def test_non_integer_node_count_rejected(self, n):
+        # 2.5 used to give 1.72
+        with pytest.raises(ValueError, match="n must be an integer"):
+            normalized_spacing(n, 2)
+
+    def test_numpy_integer_node_count_accepted(self):
+        assert normalized_spacing(np.int64(289), 2) == normalized_spacing(289, 2)

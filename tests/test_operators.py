@@ -34,6 +34,7 @@ from dcpse import operators
 from dcpse.operators import (
     _basis_cached,
     _basis_matrix,
+    _first_partials,
     _rhs,
     _solve,
     _solve_block,
@@ -283,15 +284,21 @@ class TestMomentSystem:
             good.append(assemble_moment_system(cloud, ns, spec, eps))
         singular = good[0].A.copy()
         singular[-1] = singular[:, -1] = 0.0  # an exactly zero pivot
+        stack = (good[0], good[0], good[1])
+        V, E = (np.stack([getattr(s, x) for s in stack]) for x in "VE")
         A = np.stack([good[0].A, singular, good[1].A])
+        eps = np.array([s.eps for s in stack])
         rhs = good[0].b[:, None]
-        cond, coeffs, why = _solve(A, rhs)
+        cond, coeffs, W, why = _solve(V, E, A, eps, rhs, spec.order)
         assert why == {1: "moment matrix is numerically singular"}
         assert cond[1] == np.inf and np.all(np.isnan(coeffs[:, 1]))
         for i, s in ((0, good[0]), (2, good[1])):
-            alone_cond, alone, _ = _solve(s.A[None], rhs)
-            assert cond[i] == alone_cond[0]
-            assert np.array_equal(coeffs[:, i], alone[:, 0])
+            one = s.V[None], s.E[None], s.A[None], eps[i : i + 1], rhs
+            alone = _solve(*one, spec.order)
+            assert cond[i] == alone[0][0]
+            assert np.array_equal(coeffs[:, i], alone[1][:, 0])
+            assert np.array_equal(W[:, i], alone[2][:, 0])
+            assert np.array_equal(W[0, i], kernel_weights(s, coeffs[0, i, :, 0]))
 
     @pytest.mark.parametrize(
         "eps, alpha, match",
@@ -530,6 +537,34 @@ class TestBuildOperator:
             build_operator(cloud, build_index(cloud), spec),
         )
 
+    @pytest.mark.parametrize(
+        "alpha,xs,node",
+        [
+            (
+                (1,),
+                [0.14105104380603595, -0.7614423973508924, -0.5656826837083326,
+                 -0.6575701452777298, -0.6496242465335935],
+                0,
+            ),
+            (
+                (2,),
+                [-0.5364310734359103, -0.6939160467101129, -0.7419629127697769,
+                 0.574572931360793, -0.7891598907063724],
+                3,
+            ),
+        ],
+        ids=["d1-node0", "d2-node3"],
+    )
+    def test_tiny_cloud_whose_weights_miss_their_moments_fails(self, alpha, xs, node):
+        # n = l + 1 at r = 3, so k = n - 1 = l and the support cannot regrow;
+        # the condition estimate (about 1e10) passes, but the folded weights
+        # miss their moments by 6.3e-7 and 2.3e-7
+        cloud = PointCloud(np.array(xs)[:, None])
+        spec = OperatorSpec(alpha=alpha, r=3)
+        with pytest.raises(OperatorBuildError, match="moment residual") as err:
+            build_operator(cloud, build_index(cloud), spec)
+        assert list(err.value.failed_nodes) == [node]
+
 
 def franke_like(cloud):
     x = cloud.coords[:, 0]
@@ -640,6 +675,35 @@ def cantilever():
 
 
 class TestVerifyMoments:
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "problem,level,kind",
+        [
+            ("cantilever", 0, "structured"),
+            ("cantilever", 0, "jittered"),
+            ("franke", 2, "jittered"),
+            ("plate", 1, "structured"),
+        ],
+    )
+    def test_every_built_stencil_meets_the_gate_bound(self, problem, level, kind, r):
+        # the build gates with verify_moments' computation at 1e-10 (1 + |b|),
+        # |b| = alpha!; a build either meets it or names each failed node
+        cloud = generate_nodes(problem, level, kind)
+        index = build_index(cloud)
+        d = cloud.dim
+        specs = [OperatorSpec(alpha=a, r=r) for a in _first_partials(d)]
+        specs += [OperatorSpec(alpha=(2,) + (0,) * (d - 1), r=r)]
+        specs += [OperatorSpec(alpha=(1, 1) + (0,) * (d - 2), r=r)]
+        for spec in specs:
+            try:
+                op = build_operator(cloud, index, spec)
+            except OperatorBuildError as err:
+                for p, message in err.failed_nodes.items():
+                    assert re.search(rf"\bnode {p}\b", message), message
+                continue
+            bound = 1e-10 * (1.0 + math.prod(math.factorial(a) for a in spec.alpha))
+            assert float(np.max(verify_moments(op, cloud))) <= bound, spec
+
     def test_matches_per_node_loop(self, cantilever):
         cloud, ops = cantilever
         for op in ops:
@@ -776,7 +840,7 @@ class TestBatchedEngine:
                 assert np.array_equal(op.weights[p], w)
 
     # the loose gate passes every condition estimate on the clustered cloud
-    # and leaves its bad supports to the residual gate
+    # and leaves its bad supports to the moment gate
     @pytest.mark.parametrize(
         "name,cond_threshold",
         [
