@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud, SpatialIndex
-from .operators import StencilOperator, _first_partials, gradient_operator
+from .operators import StencilOperator, _first_partials, _real_field, gradient_operator
 
 
 def lame_from_young_poisson(young: float, poisson: float) -> tuple[float, float]:
@@ -27,13 +27,15 @@ def lame_from_young_poisson(young: float, poisson: float) -> tuple[float, float]
     """
     if not 0 < young < np.inf:
         raise ValueError(f"Young's modulus must be positive and finite, got {young}")
-    if not -1.0 < poisson < 0.5:
-        raise ValueError(
-            f"Poisson's ratio must lie in (-1, 0.5), got {poisson}"
-        )
+    _check_poisson(poisson)
     lam = young * poisson / ((1.0 + poisson) * (1.0 - 2.0 * poisson))
     mu = young / (2.0 * (1.0 + poisson))
     return lam, mu
+
+
+def _check_poisson(poisson: float) -> None:
+    if not -1.0 < poisson < 0.5:  # NaN fails the comparison too
+        raise ValueError(f"Poisson's ratio must lie in (-1, 0.5), got {poisson}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,9 @@ class SymTensorField:
         return _COMPONENTS[self.dim]
 
     def component(self, name: str) -> np.ndarray:
-        return self.data[:, _COMPONENTS[self.dim].index(name)]
+        if name not in self.components:
+            raise ValueError(f"no component {name!r} in dim {self.dim}, only {self.components}")
+        return self.data[:, self.components.index(name)]
 
     def as_matrices(self) -> np.ndarray:
         """Expand to full (n, d, d) symmetric matrices."""
@@ -134,7 +138,7 @@ def displacement_gradient(
     must be built on a cloud == this one (ValueError otherwise).
     """
     d = cloud.dim
-    u = np.asarray(displacement, dtype=np.float64)
+    u = _real_field(displacement)
     if u.shape != (cloud.n, d):
         raise ValueError(
             f"expected displacement of shape ({cloud.n}, {d}), got {u.shape}"
@@ -149,9 +153,9 @@ def displacement_gradient(
         if op.cloud != cloud:
             raise ValueError(f"operators[{j}] was built for a different cloud")
     grad = np.empty((cloud.n, d, d))
-    for i in range(d):
+    for i, ui in enumerate(np.ascontiguousarray(u.T)):  # contiguous: no copy per apply
         for j in range(d):
-            grad[:, i, j] = operators[j].apply(u[:, i])
+            grad[:, i, j] = operators[j].apply(ui)
     return grad
 
 
@@ -160,12 +164,17 @@ def strain_from_gradient(gradient: np.ndarray) -> SymTensorField:
     g = np.asarray(gradient, dtype=np.float64)
     if g.ndim != 3 or g.shape[1] != g.shape[2]:
         raise ValueError(f"expected shape (n, d, d), got {g.shape}")
-    return SymTensorField.from_matrices(0.5 * (g + np.swapaxes(g, 1, 2)))
+    slots = _SLOTS.get(g.shape[1], ())  # any other d: SymTensorField names it
+    data = np.empty((g.shape[0], len(slots)))
+    for k, (i, j) in enumerate(slots):
+        np.add(g[:, i, j], g[:, j, i], out=data[:, k])
+    data *= 0.5
+    return SymTensorField(data=data, dim=g.shape[1])
 
 
 def stress_from_strain(strain: SymTensorField, material: ElasticMaterial) -> SymTensorField:
     """Isotropic Hooke's law sigma = 2 mu eps + lambda tr(eps) I."""
-    data = 2.0 * material.mu * strain.data.copy()
+    data = (2.0 * material.mu) * strain.data
     lam_tr = material.lam * strain.trace()
     for slot in _DIAGONAL[strain.dim]:
         data[:, slot] += lam_tr
@@ -175,32 +184,32 @@ def stress_from_strain(strain: SymTensorField, material: ElasticMaterial) -> Sym
 def plane_strain_embed(stress: SymTensorField, poisson: float) -> SymTensorField:
     """Embed a 2-d plane-strain stress state into full 3-d tensors.
 
-    The out-of-plane normal stress is nu (sigma_xx + sigma_yy); the
-    out-of-plane shears are zero.
+    The out-of-plane normal stress is nu (sigma_xx + sigma_yy), nu in
+    (-1, 0.5) as for a material; the out-of-plane shears are zero.
     """
     if stress.dim != 2:
         raise ValueError(f"plane-strain embedding expects 2-d tensors, got dim {stress.dim}")
-    sxx = stress.component("xx")
-    syy = stress.component("yy")
-    sxy = stress.component("xy")
-    szz = poisson * (sxx + syy)
-    zeros = np.zeros_like(sxx)
-    data = np.column_stack([sxx, sxy, zeros, syy, zeros, szz])
+    _check_poisson(poisson)
+    s, data = stress.data, np.zeros((stress.n, 6))
+    data[:, 0], data[:, 1], data[:, 3] = s.T  # xx, xy, yy
+    np.multiply(s[:, 0] + s[:, 2], poisson, out=data[:, 5])
     return SymTensorField(data=data, dim=3)
 
 
-def deviatoric(stress: SymTensorField) -> SymTensorField:
-    """Deviatoric part s = sigma - tr(sigma)/3 I of a 3-d stress field.
-
-    Two-dimensional states must be embedded (plane strain) first; the 1/3
-    volumetric split is only meaningful for full 3-d tensors.
-    """
+def _mean_stress(stress: SymTensorField) -> np.ndarray:
+    """tr(sigma)/3 per node. Two-dimensional states must be embedded (plane
+    strain) first; the 1/3 volumetric split is only meaningful in 3-d."""
     if stress.dim != 3:
         raise ValueError(
             f"deviatoric split expects 3-d tensors, got dim {stress.dim}; "
             f"embed plane-strain states first"
         )
-    mean = stress.trace() / 3.0
+    return stress.trace() / 3.0
+
+
+def deviatoric(stress: SymTensorField) -> SymTensorField:
+    """Deviatoric part s = sigma - tr(sigma)/3 I of a 3-d stress field."""
+    mean = _mean_stress(stress)
     data = stress.data.copy()
     for slot in _DIAGONAL[3]:
         data[:, slot] -= mean
@@ -213,10 +222,9 @@ def von_mises(stress: SymTensorField) -> np.ndarray:
     Invariant under hydrostatic shifts; equals |sigma_0| for uniaxial
     tension sigma_0.
     """
-    s = deviatoric(stress).data
-    sq = np.zeros(s.shape[0])
-    for slot in range(s.shape[1]):
-        term = s[:, slot] ** 2
+    mean, sq = _mean_stress(stress), np.zeros(stress.n)
+    for slot, col in enumerate(stress.data.T):  # the deviator's slots, one at a time
+        term = np.square(col - mean if slot in _DIAGONAL[3] else col)
         sq += term if slot in _DIAGONAL[3] else 2.0 * term
     return np.sqrt(1.5 * sq)
 

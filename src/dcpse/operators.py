@@ -596,13 +596,20 @@ def gradient_operator(
     return tuple(_build_many(cloud, index, alphas, spec))
 
 
+def _real_field(values) -> np.ndarray:
+    """`values` as float64; complex input raises rather than lose its imaginary part."""
+    if np.iscomplexobj(values):
+        raise ValueError("field contains complex values")
+    return np.asarray(values, dtype=np.float64)
+
+
 def apply(op: StencilOperator, values: np.ndarray) -> np.ndarray:
     """Apply a stencil operator to nodal values.
 
     Evaluates sum_q w_q (f_q + sign f_p) at every node with a fixed
     summation order, so repeated applications are bit-identical.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _real_field(values)
     if values.shape != (op.n,):
         raise ValueError(f"expected {op.n} nodal values, got shape {values.shape}")
     if not np.all(np.isfinite(values)):

@@ -1,5 +1,8 @@
 """Strain/stress recovery chain and tensor helper invariants."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +98,14 @@ class TestSymTensorField:
         field = SymTensorField.from_matrices(sym)
         assert np.array_equal(field.as_matrices(), sym)
 
+    @pytest.mark.parametrize("dim, name", [(2, "zz"), (2, "xz"), (3, "yx"), (1, "xy")])
+    def test_unknown_component_named(self, dim, name):
+        # a 2-d "zz" raised "tuple.index(x): x not in tuple"
+        field = SymTensorField(np.zeros((2, {1: 1, 2: 3, 3: 6}[dim])), dim=dim)
+        valid = re.escape(str(field.components))
+        with pytest.raises(ValueError, match=rf"no component '{name}' in dim {dim}, only {valid}"):
+            field.component(name)
+
     def test_trace(self):
         field = SymTensorField(np.array([[1.0, 9.0, 2.0]]), dim=2)
         assert field.trace()[0] == 3.0
@@ -169,6 +180,16 @@ class TestGradientChain:
         with pytest.raises(ValueError, match=match):
             recover(cloud, index, u, mat, operators=ops)
 
+    def test_complex_displacement_rejected(self):
+        # numpy's ComplexWarning and a dropped imaginary part before
+        cloud = jittered_cloud(2, 5, seed=0)
+        index = build_index(cloud)
+        u = np.column_stack([cloud.coords[:, 0], 1j * cloud.coords[:, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="field contains complex values"):
+                displacement_gradient(cloud, index, u)
+
     def test_displacement_shape_checked(self):
         cloud = jittered_cloud(2, 5, seed=0)
         index = build_index(cloud)
@@ -221,6 +242,13 @@ class TestPlaneStrain:
         stress3 = SymTensorField(np.zeros((2, 6)), dim=3)
         with pytest.raises(ValueError):
             plane_strain_embed(stress3, 0.3)
+
+    @pytest.mark.parametrize("poisson", [0.7, 0.5, -1.0, -3.0, np.nan, np.inf])
+    def test_poisson_ratio_checked(self, poisson):
+        # 0.7 gave szz = 0.7 (sxx + syy) and NaN gave szz = NaN, silently
+        stress2 = SymTensorField(np.array([[10.0, 2.0, 4.0]]), dim=2)
+        with pytest.raises(ValueError, match=r"Poisson's ratio must lie in \(-1, 0.5\)"):
+            plane_strain_embed(stress2, poisson)
 
     def test_plane_strain_consistency_via_hooke(self):
         # embedding a 2-d Hooke stress must match full 3-d Hooke applied

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -1020,6 +1021,25 @@ class TestApply:
         values[3] = np.nan
         with pytest.raises(ValueError):
             op.apply(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [lambda n: np.full(n, 1.0 + 2.0j), lambda n: np.zeros(n, dtype=complex),
+         lambda n: [1j] * n],
+        ids=["imaginary-part", "zero-imaginary-part", "list"],
+    )
+    def test_complex_field_rejected(self, indexed2d, values):
+        # numpy's ComplexWarning and a dropped imaginary part before
+        cloud, index = indexed2d
+        op = build_operator(cloud, index, OperatorSpec(alpha=(1, 0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="field contains complex values"):
+                op.apply(values(cloud.n))
+            with pytest.raises(ValueError, match="field contains complex values"):
+                apply(op, values(cloud.n))
+            with pytest.raises(ValueError, match="field contains non-finite values"):
+                apply(op, np.full(cloud.n, np.inf))
 
     def test_wrong_cloud_for_verify(self, indexed2d):
         cloud, index = indexed2d
