@@ -8,134 +8,18 @@ Benchmarks with closed-form solutions and a convergence driver live in
 `dcpse.benchmarks`; CSV/MSH/JSON round-trips in `dcpse.io_formats`.
 """
 
-from .cloud import (
-    DuplicateNodeError,
-    EmptyCloudError,
-    InsufficientNodesError,
-    NeighborSet,
-    PointCloud,
-    SpatialIndex,
-    average_spacing,
-    build_index,
-    k_nearest,
-    normalized_spacing,
-)
-from .operators import (
-    IllConditionedNodeError,
-    InsufficientSupportError,
-    MomentSystem,
-    OperatorBuildError,
-    OperatorSpec,
-    StencilOperator,
-    apply,
-    assemble_moment_system,
-    build_operator,
-    gradient_operator,
-    monomial_basis,
-    solve_kernel_coefficients,
-    verify_moments,
-)
-from .elasticity import (
-    ElasticMaterial,
-    RecoveredFields,
-    SymTensorField,
-    deviatoric,
-    displacement_gradient,
-    lame_from_young_poisson,
-    plane_strain_embed,
-    principal_stresses,
-    recover,
-    strain_from_gradient,
-    stress_from_strain,
-    von_mises,
-)
-from .benchmarks import (
-    BenchmarkProblem,
-    CantileverParams,
-    ConvergenceReport,
-    cantilever_displacement,
-    cantilever_stress,
-    convergence_study,
-    evaluate_level,
-    fit_slope,
-    franke,
-    franke_grad,
-    generate_nodes,
-    get_problem,
-    kirsch_displacement,
-    kirsch_stress,
-    linf,
-    nrmse,
-)
-from .io_formats import (
-    ParseError,
-    UnsupportedFormatError,
-    read_msh_nodes,
-    read_points_csv,
-    read_report,
-    write_field_csv,
-    write_report,
-)
+from . import benchmarks, cloud, elasticity, io_formats, operators
+from .cloud import *
+from .operators import *
+from .elasticity import *
+from .benchmarks import *
+from .io_formats import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchmarkProblem",
-    "CantileverParams",
-    "ConvergenceReport",
-    "DuplicateNodeError",
-    "ElasticMaterial",
-    "EmptyCloudError",
-    "IllConditionedNodeError",
-    "InsufficientNodesError",
-    "InsufficientSupportError",
-    "MomentSystem",
-    "NeighborSet",
-    "OperatorBuildError",
-    "OperatorSpec",
-    "ParseError",
-    "PointCloud",
-    "RecoveredFields",
-    "SpatialIndex",
-    "StencilOperator",
-    "SymTensorField",
-    "UnsupportedFormatError",
-    "apply",
-    "assemble_moment_system",
-    "average_spacing",
-    "build_index",
-    "build_operator",
-    "cantilever_displacement",
-    "cantilever_stress",
-    "convergence_study",
-    "deviatoric",
-    "displacement_gradient",
-    "evaluate_level",
-    "fit_slope",
-    "franke",
-    "franke_grad",
-    "generate_nodes",
-    "get_problem",
-    "gradient_operator",
-    "k_nearest",
-    "kirsch_displacement",
-    "kirsch_stress",
-    "lame_from_young_poisson",
-    "linf",
-    "monomial_basis",
-    "normalized_spacing",
-    "nrmse",
-    "plane_strain_embed",
-    "principal_stresses",
-    "read_msh_nodes",
-    "read_points_csv",
-    "read_report",
-    "recover",
-    "solve_kernel_coefficients",
-    "strain_from_gradient",
-    "stress_from_strain",
-    "verify_moments",
-    "von_mises",
-    "write_field_csv",
-    "write_report",
-]
+__all__: list[str] = []
+__all__ += cloud.__all__
+__all__ += operators.__all__
+__all__ += elasticity.__all__
+__all__ += benchmarks.__all__
+__all__ += io_formats.__all__

@@ -34,6 +34,13 @@ from .operators import (
     verify_moments,
 )
 
+__all__ = [
+    "BenchmarkProblem", "CantileverParams", "ConvergenceReport",
+    "cantilever_displacement", "cantilever_stress", "convergence_study",
+    "evaluate_level", "fit_slope", "franke", "franke_grad", "generate_nodes",
+    "get_problem", "kirsch_displacement", "kirsch_stress", "linf", "nrmse",
+]
+
 _JITTER_FRACTION = 0.25
 
 
@@ -286,16 +293,23 @@ def _jitter_interior(grid: np.ndarray, interior: np.ndarray, spacing, seed: int)
     return out
 
 
+def _lattice_cloud(axes, spacing: float, kind: str, seed: int) -> PointCloud:
+    """The grid of `axes`; if jittered, the nodes more than half a spacing
+    inside its box are jittered."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    coords = np.column_stack([grid.ravel() for grid in grids])
+    if kind == "jittered":
+        lo = np.array([axis[0] for axis in axes]) + spacing / 2
+        hi = np.array([axis[-1] for axis in axes]) - spacing / 2
+        interior = np.all((coords > lo) & (coords < hi), axis=1)
+        coords = _jitter_interior(coords, interior, spacing, seed)
+    return PointCloud(coords)
+
+
 def _square_cloud(level: int, kind: str, seed: int) -> PointCloud:
     m = 8 * 2**level
-    s = 1.0 / m
-    axis = np.arange(m + 1) * s
-    xg, yg = np.meshgrid(axis, axis, indexing="ij")
-    coords = np.column_stack([xg.ravel(), yg.ravel()])
-    if kind == "jittered":
-        interior = np.all((coords > s / 2) & (coords < 1.0 - s / 2), axis=1)
-        coords = _jitter_interior(coords, interior, s, seed)
-    return PointCloud(coords)
+    axis = np.arange(m + 1) * (1.0 / m)
+    return _lattice_cloud((axis, axis), 1.0 / m, kind, seed)
 
 
 def _ray_exit(theta: np.ndarray, width: float) -> np.ndarray:
@@ -337,19 +351,12 @@ _CANTILEVER = CantileverParams()
 def _box_cloud(level: int, kind: str, seed: int) -> PointCloud:
     p = _CANTILEVER
     nx = 4 * 2**level + 1
-    nz = 20 * 2**level + 1
-    xs = np.linspace(-p.a, p.a, nx)
-    ys = np.linspace(-p.b, p.b, nx)
-    zs = np.linspace(0.0, p.length, nz)
-    xg, yg, zg = np.meshgrid(xs, ys, zs, indexing="ij")
-    coords = np.column_stack([xg.ravel(), yg.ravel(), zg.ravel()])
-    if kind == "jittered":
-        s = 2.0 * p.a / (nx - 1)
-        lo = np.array([-p.a, -p.b, 0.0]) + s / 2
-        hi = np.array([p.a, p.b, p.length]) - s / 2
-        interior = np.all((coords > lo) & (coords < hi), axis=1)
-        coords = _jitter_interior(coords, interior, s, seed)
-    return PointCloud(coords)
+    axes = (
+        np.linspace(-p.a, p.a, nx),
+        np.linspace(-p.b, p.b, nx),
+        np.linspace(0.0, p.length, 20 * 2**level + 1),
+    )
+    return _lattice_cloud(axes, 2.0 * p.a / (nx - 1), kind, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+__all__ = [
+    "DuplicateNodeError", "EmptyCloudError", "InsufficientNodesError", "NeighborSet",
+    "PointCloud", "SpatialIndex", "average_spacing", "build_index", "k_nearest",
+    "normalized_spacing",
+]
+
 
 def _integer(name: str, value) -> int:
     try:

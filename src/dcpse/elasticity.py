@@ -17,6 +17,13 @@ import numpy as np
 from .cloud import PointCloud, SpatialIndex
 from .operators import StencilOperator, _first_partials, _real_field, gradient_operator
 
+__all__ = [
+    "ElasticMaterial", "RecoveredFields", "SymTensorField", "deviatoric",
+    "displacement_gradient", "lame_from_young_poisson", "plane_strain_embed",
+    "principal_stresses", "recover", "strain_from_gradient", "stress_from_strain",
+    "von_mises",
+]
+
 
 def lame_from_young_poisson(young: float, poisson: float) -> tuple[float, float]:
     """Convert (E, nu) to the Lame pair (lambda, mu).

@@ -22,6 +22,11 @@ import numpy as np
 from .cloud import PointCloud
 from .elasticity import SymTensorField
 
+__all__ = [
+    "ParseError", "UnsupportedFormatError", "read_msh_nodes", "read_points_csv",
+    "read_report", "write_field_csv", "write_report",
+]
+
 _AXES = ("x", "y", "z")
 
 
@@ -45,28 +50,23 @@ def read_points_csv(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
     The dimension is inferred from the coordinate columns present: x alone,
     x and y, or x, y, and z. All remaining columns become scalar fields
     keyed by their header names. Non-numeric or non-finite entries raise
-    ParseError with the offending line number.
+    ParseError with the physical line number on which the record ends.
     """
     rows: list[tuple[int, list[str]]] = []
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
+        reader = csv.reader(handle)
+        for row in reader:
             cells = [cell.strip() for cell in row]
-            if all(cell == "" for cell in cells):
-                continue
-            rows.append((lineno, cells))
+            if any(cells) and not cells[0].startswith("#"):
+                rows.append((reader.line_num, cells))
     if not rows:
         raise ParseError(path, None, "no header row found")
     header_line, names = rows[0]
     if len(set(names)) != len(names):
         raise ParseError(path, header_line, "duplicate column names")
     dim = 0
-    for axis in _AXES:
-        if axis in names:
-            dim += 1
-        else:
-            break
+    while dim < len(_AXES) and _AXES[dim] in names:
+        dim += 1
     if dim == 0:
         raise ParseError(path, header_line, "missing coordinate column 'x'")
     for axis in _AXES[dim:]:
@@ -173,6 +173,14 @@ def _find_section(lines, name, path):
     return start, end
 
 
+def _node_xyz(fields: list[str], path, lineno: int) -> list[float]:
+    """The x y z that open a node line's fields; ParseError if one is not finite."""
+    xyz = [float(v) for v in fields[:3]]
+    if not all(map(math.isfinite, xyz)):
+        raise ParseError(path, lineno, "non-finite node coordinate")
+    return xyz
+
+
 def _parse_nodes_v2(lines, start, end, path):
     count = int(lines[start + 1])
     tags, coords = [], []
@@ -184,7 +192,7 @@ def _parse_nodes_v2(lines, start, end, path):
         if len(parts) < 4:
             raise ParseError(path, lineno + 1, "node line needs tag x y z")
         tags.append(int(parts[0]))
-        coords.append([float(v) for v in parts[1:4]])
+        coords.append(_node_xyz(parts[1:], path, lineno + 1))
     if start + 2 + count < end:
         raise ParseError(path, start + 3 + count, "node section longer than declared")
     return tags, coords
@@ -215,7 +223,7 @@ def _parse_nodes_v4(lines, start, end, path):
             parts = lines[pos + i].split()
             if len(parts) < 3:
                 raise ParseError(path, pos + i + 1, "node line needs x y z")
-            coords.append([float(v) for v in parts[:3]])
+            coords.append(_node_xyz(parts, path, pos + i + 1))
         pos += in_block
     if pos < end:
         raise ParseError(path, pos + 1, "node section longer than declared")
@@ -246,18 +254,17 @@ def read_msh_nodes(path) -> tuple[PointCloud, dict[int, int]]:
             f"{path}: binary MSH files are not supported (file-type {file_type})"
         )
     start, end = _find_section(lines, "Nodes", path)
+    if version.startswith("2"):
+        parse_nodes = _parse_nodes_v2
+    elif version.startswith("4.1"):
+        parse_nodes = _parse_nodes_v4
+    else:
+        raise UnsupportedFormatError(f"{path}: unsupported MSH version {version}")
     try:
-        if version.startswith("2"):
-            tags, coords = _parse_nodes_v2(lines, start, end, path)
-        elif version.startswith("4.1"):
-            tags, coords = _parse_nodes_v4(lines, start, end, path)
-        else:
-            raise UnsupportedFormatError(
-                f"{path}: unsupported MSH version {version}"
-            )
+        tags, coords = parse_nodes(lines, start, end, path)
+    except ParseError:
+        raise
     except (ValueError, IndexError) as err:
-        if isinstance(err, (ParseError, UnsupportedFormatError)):
-            raise
         raise ParseError(path, start + 1, f"malformed node section: {err}") from None
     if not tags:
         raise ParseError(path, start + 1, "node section is empty")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -41,6 +42,13 @@ from .cloud import (
     _k_nearest_arrays,
     _spacing,
 )
+
+__all__ = [
+    "IllConditionedNodeError", "InsufficientSupportError", "MomentSystem",
+    "OperatorBuildError", "OperatorSpec", "StencilOperator", "apply",
+    "assemble_moment_system", "build_operator", "gradient_operator", "monomial_basis",
+    "solve_kernel_coefficients", "verify_moments",
+]
 
 _RESIDUAL_TOL = 1e-10
 _GROWTH = 1.5
@@ -161,15 +169,6 @@ class OperatorSpec(_Derivative):
             )
 
 
-def _grade_tuples(total: int, d: int):
-    if d == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _grade_tuples(total - first, d - 1):
-            yield (first,) + rest
-
-
 def monomial_basis(alpha, r: int) -> list[tuple[int, ...]]:
     """Monomial multi-indices for the moment system of D^alpha at order r.
 
@@ -181,14 +180,14 @@ def monomial_basis(alpha, r: int) -> list[tuple[int, ...]]:
     alpha = _validate_alpha(alpha)
     if _integer("approximation order r", r) < 1:
         raise ValueError(f"approximation order r must be >= 1, got {r}")
-    d = len(alpha)
     order = multi_index_order(alpha)
     lo = 0 if order % 2 == 1 else 1
-    hi = order + r - 1
-    basis: list[tuple[int, ...]] = []
-    for degree in range(lo, hi + 1):
-        basis.extend(_grade_tuples(degree, d))
-    return basis
+    return [
+        beta
+        for degree in range(lo, order + r)
+        for beta in itertools.product(range(degree, -1, -1), repeat=len(alpha))
+        if sum(beta) == degree
+    ]
 
 
 @functools.lru_cache(maxsize=256)

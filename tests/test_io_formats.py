@@ -78,6 +78,20 @@ class TestCsvRead:
             read_points_csv(path)
         assert err.value.line == 3
 
+    def test_line_numbers_count_physical_lines(self, tmp_path):
+        # a header cell quoted across two lines puts the second data row on line 4
+        path = tmp_path / "nl2.csv"
+        cloud = PointCloud([[0.0], [1.0]])
+        write_field_csv(path, cloud, {"a\nb": np.array([2.0, 3.0])})
+        lines = path.read_text().split("\n")
+        assert lines[3] == "1.0,3.0"
+        lines[3] = "1.0,oops"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ParseError, match="oops") as err:
+            read_points_csv(path)
+        assert err.value.line == 4
+        assert str(err.value).startswith(f"{path}:4: ")
+
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n0.0,nan\n")
@@ -337,6 +351,22 @@ class TestMshRead:
         with pytest.raises(ParseError, match="longer than declared") as err:
             read_msh_nodes(path)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf"])
+    @pytest.mark.parametrize(
+        "text, node, line",
+        [(MSH_V2, "20 1.0 0.0 0.0", 7), (MSH_V4, "1.0 0.5 0.0", 14)],
+        ids=["v2", "v4"],
+    )
+    def test_non_finite_coordinate_names_its_line(
+        self, tmp_path, text, node, line, bad
+    ):
+        path = tmp_path / "mesh.msh"
+        path.write_text(text.replace(node, node.replace(" 0.0", f" {bad}", 1)))
+        with pytest.raises(ParseError, match="non-finite") as err:
+            read_msh_nodes(path)
+        assert type(err.value) is ParseError
+        assert str(err.value).startswith(f"{path}:{line}: ")
 
     def test_duplicate_tags_rejected(self, tmp_path):
         text = MSH_V2.replace("20 1.0", "10 1.0")
