@@ -214,8 +214,18 @@ def average_spacing(cloud: PointCloud, neighbors: NeighborSet) -> float:
     """
     if len(neighbors) == 0:
         raise ValueError("cannot measure spacing of an empty neighbor set")
-    offsets = cloud.coords[neighbors.node] - cloud.coords[neighbors.ids]
-    return float(_spacing(offsets[None])[0])
+    return float(_spacing(_support_offsets(cloud, neighbors)[None])[0])
+
+
+def _support_offsets(cloud: PointCloud, neighbors: NeighborSet) -> np.ndarray:
+    """Center minus support coordinates, (k, d); ValueError naming the node if it
+    or a support id lies outside [0, n), or if the support holds the node itself."""
+    node, ids, n = _integer("node", neighbors.node), neighbors.ids, cloud.n
+    if not 0 <= node < n or np.any((ids < 0) | (ids >= n)):
+        raise ValueError(f"node {node}: node and support ids must lie in [0, {n})")
+    if np.any(ids == node):
+        raise ValueError(f"node {node}: support contains the node itself")
+    return cloud.coords[node] - cloud.coords[ids]
 
 
 def _spacing(offsets: np.ndarray) -> np.ndarray:

@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 _AXES = ("x", "y", "z")
+_V4_HEADER = ("numEntityBlocks", "numNodes", "minTag", "maxTag")
+_V4_BLOCK = ("entityDim", "entityTag", "parametric", "numNodes")
 
 
 class ParseError(ValueError):
@@ -44,6 +46,25 @@ class UnsupportedFormatError(ValueError):
     """Recognizably valid input in a variant this reader does not support."""
 
 
+def _numbers(kind, cells, names, path, line: int) -> list:
+    """The cells of one line as finite numbers of `kind` (int or float); a bad
+    cell raises ParseError at `line`, naming its field as names[j] for cells[j]."""
+    try:
+        values = list(map(kind, cells))
+        if kind is int or all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    # only a bad line takes this cell-by-cell pass, to name the cell
+    for name, cell in zip(names, cells):
+        try:
+            value = kind(cell)
+        except ValueError:
+            raise ParseError(path, line, f"{name}: not a number: {cell!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ParseError(path, line, f"{name}: non-finite value {cell!r}")
+
+
 def read_points_csv(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
     """Read a cloud and named nodal fields from CSV.
 
@@ -53,12 +74,17 @@ def read_points_csv(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
     ParseError with the physical line number on which the record ends.
     """
     rows: list[tuple[int, list[str]]] = []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        for row in reader:
-            cells = [cell.strip() for cell in row]
-            if any(cells) and not cells[0].startswith("#"):
-                rows.append((reader.line_num, cells))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            for row in reader:
+                cells = [cell.strip() for cell in row]
+                if any(cells) and not cells[0].startswith("#"):
+                    rows.append((reader.line_num, cells))
+    except csv.Error as err:
+        raise ParseError(path, reader.line_num, str(err)) from None
+    except UnicodeDecodeError as err:
+        raise ParseError(path, None, f"not UTF-8: {err}") from None
     if not rows:
         raise ParseError(path, None, "no header row found")
     header_line, names = rows[0]
@@ -74,24 +100,14 @@ def read_points_csv(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
             raise ParseError(
                 path, header_line, f"column {axis!r} present without its predecessors"
             )
+    labels = [f"column {name!r}" for name in names]
     data = np.empty((len(rows) - 1, len(names)))
     for i, (lineno, cells) in enumerate(rows[1:]):
         if len(cells) != len(names):
             raise ParseError(
                 path, lineno, f"expected {len(names)} columns, found {len(cells)}"
             )
-        for j, cell in enumerate(cells):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    path, lineno, f"column {names[j]!r}: not a number: {cell!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    path, lineno, f"column {names[j]!r}: non-finite value {cell!r}"
-                )
-            data[i, j] = value
+        data[i] = _numbers(float, cells, labels, path, lineno)
     if data.shape[0] == 0:
         raise ParseError(path, None, "no data rows")
     coords = np.column_stack([data[:, names.index(axis)] for axis in _AXES[:dim]])
@@ -156,11 +172,6 @@ def write_field_csv(path, cloud: PointCloud, fields: Mapping | None = None) -> N
 # Gmsh MSH node import
 
 
-def _msh_lines(path):
-    with open(path, errors="replace") as handle:
-        return [line.strip() for line in handle]
-
-
 def _find_section(lines, name, path):
     try:
         start = lines.index(f"${name}")
@@ -173,58 +184,42 @@ def _find_section(lines, name, path):
     return start, end
 
 
-def _node_xyz(fields: list[str], path, lineno: int) -> list[float]:
-    """The x y z that open a node line's fields; ParseError if one is not finite."""
-    xyz = [float(v) for v in fields[:3]]
-    if not all(map(math.isfinite, xyz)):
-        raise ParseError(path, lineno, "non-finite node coordinate")
-    return xyz
+def _node_line(lines, pos, end, path, ints=(), floats=(), more=False) -> list:
+    """The fields `ints`, then `floats`, of $Nodes line `pos` as numbers; further
+    fields only if `more`, unread. At the section end: "shorter than declared"."""
+    if pos >= end:
+        raise ParseError(path, end + 1, "node section shorter than declared")
+    cells, n, line = lines[pos].split(), len(ints) + len(floats), pos + 1
+    if len(cells) < n or len(cells) > n and not more:
+        raise ParseError(path, line, "expected " + " ".join(ints + floats))
+    return _numbers(int, cells[: len(ints)], ints, path, line) + _numbers(
+        float, cells[len(ints) : n], floats, path, line
+    )
 
 
 def _parse_nodes_v2(lines, start, end, path):
-    count = int(lines[start + 1])
-    tags, coords = [], []
-    for offset in range(count):
-        lineno = start + 2 + offset
-        if lineno >= end:
-            raise ParseError(path, end + 1, "node section shorter than declared")
-        parts = lines[lineno].split()
-        if len(parts) < 4:
-            raise ParseError(path, lineno + 1, "node line needs tag x y z")
-        tags.append(int(parts[0]))
-        coords.append(_node_xyz(parts[1:], path, lineno + 1))
-    if start + 2 + count < end:
-        raise ParseError(path, start + 3 + count, "node section longer than declared")
-    return tags, coords
+    (count,) = _node_line(lines, start + 1, end, path, ("numNodes",))
+    if count < 0:
+        raise ParseError(path, start + 2, f"numNodes: negative count {count}")
+    nodes = range(start + 2, start + 2 + count)
+    rows = [_node_line(lines, p, end, path, ("tag",), _AXES, True) for p in nodes]
+    if nodes.stop < end:
+        raise ParseError(path, nodes.stop + 1, "node section longer than declared")
+    return [row[0] for row in rows], [row[1:] for row in rows]
 
 
 def _parse_nodes_v4(lines, start, end, path):
-    header = lines[start + 1].split()
-    if len(header) != 4:
-        raise ParseError(
-            path, start + 2, "expected numEntityBlocks numNodes minTag maxTag"
-        )
-    num_blocks, num_nodes = int(header[0]), int(header[1])
-    tags: list[int] = []
-    coords: list[list[float]] = []
-    pos = start + 2
+    num_blocks, num_nodes, _, _ = _node_line(lines, start + 1, end, path, _V4_HEADER)
+    tags, coords, pos = [], [], start + 2
     for _ in range(num_blocks):
-        if pos >= end:
-            raise ParseError(path, end + 1, "fewer entity blocks than declared")
-        block = lines[pos].split()
-        if len(block) != 4:
-            raise ParseError(
-                path, pos + 1, "expected entityDim entityTag parametric numNodes"
-            )
-        in_block = int(block[3])
-        tags.extend(int(line) for line in lines[pos + 1 : pos + 1 + in_block])
-        pos += 1 + in_block
-        for i in range(in_block):
-            parts = lines[pos + i].split()
-            if len(parts) < 3:
-                raise ParseError(path, pos + i + 1, "node line needs x y z")
-            coords.append(_node_xyz(parts, path, pos + i + 1))
-        pos += in_block
+        *_, count = _node_line(lines, pos, end, path, _V4_BLOCK)
+        if count < 0:
+            raise ParseError(path, pos + 1, f"numNodes: negative count {count}")
+        tag_lines = range(pos + 1, pos + 1 + count)
+        xyz_lines = range(tag_lines.stop, tag_lines.stop + count)
+        tags += [_node_line(lines, p, end, path, ("tag",))[0] for p in tag_lines]
+        coords += [_node_line(lines, p, end, path, (), _AXES, True) for p in xyz_lines]
+        pos = xyz_lines.stop
     if pos < end:
         raise ParseError(path, pos + 1, "node section longer than declared")
     if len(tags) != num_nodes:
@@ -243,7 +238,8 @@ def read_msh_nodes(path) -> tuple[PointCloud, dict[int, int]]:
     dimension (a flat mesh in the xy plane reads back as 2-d). The node
     section must hold exactly the nodes it declares.
     """
-    lines = _msh_lines(path)
+    with open(path, errors="replace") as handle:
+        lines = [line.strip() for line in handle]
     fmt_start, _ = _find_section(lines, "MeshFormat", path)
     fmt = lines[fmt_start + 1].split()
     if len(fmt) < 2:
@@ -254,18 +250,10 @@ def read_msh_nodes(path) -> tuple[PointCloud, dict[int, int]]:
             f"{path}: binary MSH files are not supported (file-type {file_type})"
         )
     start, end = _find_section(lines, "Nodes", path)
-    if version.startswith("2"):
-        parse_nodes = _parse_nodes_v2
-    elif version.startswith("4.1"):
-        parse_nodes = _parse_nodes_v4
-    else:
+    if not version.startswith(("2", "4.1")):
         raise UnsupportedFormatError(f"{path}: unsupported MSH version {version}")
-    try:
-        tags, coords = parse_nodes(lines, start, end, path)
-    except ParseError:
-        raise
-    except (ValueError, IndexError) as err:
-        raise ParseError(path, start + 1, f"malformed node section: {err}") from None
+    parse_nodes = _parse_nodes_v2 if version.startswith("2") else _parse_nodes_v4
+    tags, coords = parse_nodes(lines, start, end, path)
     if not tags:
         raise ParseError(path, start + 1, "node section is empty")
     if len(set(tags)) != len(tags):

@@ -41,6 +41,7 @@ from .cloud import (
     _integer,
     _k_nearest_arrays,
     _spacing,
+    _support_offsets,
 )
 
 __all__ = [
@@ -320,8 +321,8 @@ def assemble_moment_system(
     bits the builder uses at this node. Raises InsufficientSupportError
     when the support has fewer nodes than basis monomials.
     """
-    if not eps > 0:
-        raise ValueError(f"kernel width eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"kernel width eps must be positive and finite, got {eps}")
     _check_dim(spec.alpha, cloud)
     basis, chain = _basis_cached(spec.alpha, spec.r)
     k, l = len(neighbors), len(basis)
@@ -330,7 +331,7 @@ def assemble_moment_system(
             f"node {neighbors.node}: support of {k} nodes cannot determine "
             f"{l} basis moments"
         )
-    offsets = cloud.coords[neighbors.node] - cloud.coords[neighbors.ids]
+    offsets = _support_offsets(cloud, neighbors)
     V, E, A = (x[0] for x in _assemble(offsets[None], np.array([float(eps)]), chain))
     b = _rhs(basis, spec.alpha)
     return MomentSystem(spec, neighbors.node, V, E, A, b, float(eps))

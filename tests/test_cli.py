@@ -105,6 +105,30 @@ class TestDerive:
              "--alpha", "1,0", "--output", str(tmp_path / "o.csv")]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "data, where, detail",
+        [
+            # one cell longer than csv.field_size_limit() (131,072 characters)
+            (b"x,y,f\n0,0,1\n1,1," + b"1" * 200_000 + b"\n", ":3: ", "field larger"),
+            (b"x,y,f\n0,0,1\n1,1,\xff\n", ": ", "not UTF-8"),
+        ],
+        ids=["field-limit", "invalid-utf8"],
+    )
+    def test_unreadable_csv_is_one_usage_error_line(
+        self, tmp_path, capsys, data, where, detail
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        code = run(
+            ["derive", "--input", str(path), "--field", "f", "--alpha", "1,0",
+             "--output", str(tmp_path / "o.csv")]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {path}{where}")
+        assert detail in lines[0]
+
     def test_degenerate_cloud_is_numerical_error(self, tmp_path, capsys):
         # all nodes on one line: the 2-d moment systems are singular
         t = np.linspace(0.0, 1.0, 25)

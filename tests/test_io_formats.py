@@ -368,6 +368,69 @@ class TestMshRead:
         assert type(err.value) is ParseError
         assert str(err.value).startswith(f"{path}:{line}: ")
 
+    @pytest.mark.parametrize(
+        "text, old, new, line, field",
+        [
+            (MSH_V2, "$Nodes\n3\n", "$Nodes\nthree\n", 5, "numNodes"),
+            (MSH_V2, "20 1.0 0.0 0.0", "b 1.0 0.0 0.0", 7, "tag"),
+            (MSH_V2, "20 1.0 0.0 0.0", "20 1.0 abc 0.0", 7, "y"),
+            (MSH_V4, "2 4 1 7", "2 four 1 7", 5, "numNodes"),
+            (MSH_V4, "0 1 0 2", "0 1 p 2", 6, "parametric"),
+            (MSH_V4, "0 1 0 2\n1\n", "0 1 0 2\none\n", 7, "tag"),
+            (MSH_V4, "1.0 0.5 0.0", "1.0 0.5 zero", 14, "z"),
+        ],
+        ids=["v2-count", "v2-tag", "v2-coordinate", "v4-section-header",
+             "v4-block-header", "v4-tag", "v4-coordinate"],
+    )
+    def test_non_numeric_value_names_its_line_and_field(
+        self, tmp_path, text, old, new, line, field
+    ):
+        path = tmp_path / "mesh.msh"
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ParseError) as err:
+            read_msh_nodes(path)
+        assert type(err.value) is ParseError
+        assert err.value.line == line
+        assert str(err.value).startswith(f"{path}:{line}: {field}: not a number: ")
+
+    @pytest.mark.parametrize(
+        "text, old, new, line",
+        [
+            (MSH_V2, "$Nodes\n3\n", "$Nodes\n-2\n", 5),
+            (MSH_V4, "0 1 0 2", "0 1 0 -1000", 6),
+        ],
+        ids=["v2", "v4"],
+    )
+    def test_negative_count_names_its_line(self, tmp_path, text, old, new, line):
+        path = tmp_path / "mesh.msh"
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ParseError, match="numNodes: negative count") as err:
+            read_msh_nodes(path)
+        assert err.value.line == line
+
+    def test_v4_parametric_block_reads_x_y_z(self, tmp_path):
+        # a parametric block's node lines carry u (and v) after x y z
+        parametric = MSH_V4.replace("2 1 0 2", "2 1 1 2")
+        for xyz in ("1.0 0.5 0.0", "0.25 0.75 0.0"):
+            parametric = parametric.replace(xyz, xyz + " 0.125 0.375")
+        plain_path, param_path = tmp_path / "plain.msh", tmp_path / "param.msh"
+        plain_path.write_text(MSH_V4)
+        param_path.write_text(parametric)
+        cloud, mapping = read_msh_nodes(param_path)
+        plain_cloud, plain_mapping = read_msh_nodes(plain_path)
+        assert cloud == plain_cloud
+        assert mapping == plain_mapping
+
+    def test_v4_block_beyond_the_section_end_rejected(self, tmp_path):
+        # the last block declares 3 nodes and lists 3 tags but only 2 coordinates
+        text = MSH_V4.replace("2 1 0 2\n5\n7\n", "2 1 0 3\n5\n7\n9\n")
+        path = tmp_path / "mesh.msh"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="shorter than declared") as err:
+            read_msh_nodes(path)
+        assert err.value.line == text.splitlines().index("$EndNodes") + 1 == 17
+
     def test_duplicate_tags_rejected(self, tmp_path):
         text = MSH_V2.replace("20 1.0", "10 1.0")
         path = tmp_path / "mesh.msh"
@@ -393,7 +456,7 @@ _V4_TWO_BLOCKS_DECLARED = MSH_V4.replace("2 4 1 7", "2 2 1 3").split("2 1 0 2")[
         (read_msh_nodes, MSH_V4.replace("2 4 1 7", "2 5 1 7"), 5),  # node count
         (read_msh_nodes, "$MeshFormat\n2.2\n$EndMeshFormat\n", 2),  # $MeshFormat line
         (read_msh_nodes, _V2_HEAD + "0\n$EndNodes\n", 4),  # empty node section
-        (read_msh_nodes, MSH_V2.replace("20 1.0", "b 1.0"), 4),  # non-numeric tag
+        (read_msh_nodes, MSH_V2.replace("20 1.0", "b 1.0"), 7),  # non-numeric tag
     ],
 )
 def test_input_error_names_its_line(tmp_path, reader, text, line):

@@ -16,6 +16,7 @@ from dcpse import (
     DuplicateNodeError,
     IllConditionedNodeError,
     InsufficientSupportError,
+    NeighborSet,
     OperatorBuildError,
     OperatorSpec,
     PointCloud,
@@ -315,6 +316,32 @@ class TestMomentSystem:
         spec = OperatorSpec(alpha=alpha)
         with pytest.raises(ValueError, match=match):
             assemble_moment_system(cloud, ns, spec, eps)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_eps_rejected(self, eps):
+        cloud, ns = self._symmetric_pair()
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            assemble_moment_system(cloud, ns, OperatorSpec(alpha=(1,)), eps)
+
+    @pytest.mark.parametrize(
+        "node, ids, match",
+        [
+            (1, [0, -1], r"node 1: node and support ids must lie in \[0, 3\)"),
+            (1, [0, 3], r"node 1: node and support ids must lie in \[0, 3\)"),
+            (-1, [0, 1], r"node -1: node and support ids must lie in \[0, 3\)"),
+            (3, [0, 1], r"node 3: node and support ids must lie in \[0, 3\)"),
+            (1, [0, 1], "node 1: support contains the node itself"),
+        ],
+        ids=["negative-id", "id-past-end", "negative-node", "node-past-end", "self"],
+    )
+    def test_hand_built_support_checked(self, node, ids, match):
+        # a NeighborSet built by hand is checked against the cloud, not trusted
+        cloud, _ = self._symmetric_pair()
+        ns = NeighborSet(node=node, ids=ids, distances=[0.1, 0.2])
+        with pytest.raises(ValueError, match=match):
+            average_spacing(cloud, ns)
+        with pytest.raises(ValueError, match=match):
+            assemble_moment_system(cloud, ns, OperatorSpec(alpha=(1,), r=1), 0.1)
 
     def test_insufficient_support(self):
         # two of the three other nodes cannot determine l = 3 moments
