@@ -5,12 +5,15 @@ are the row indices of the coordinate array and every downstream structure
 (neighborhoods, operators, recovered fields) refers to nodes by these ids.
 Neighbor queries are deterministic: they return exactly the ids a brute-force
 distance scan would return, with ties broken by ascending node id. A cloud may
-hold coincident nodes; a neighbor query at one raises DuplicateNodeError.
+hold coincident nodes; a neighbor query at one raises DuplicateNodeError. The
+batched query asks the k-d tree only for the w nearest of each row, w at least
+k + 2, widened by a sample of every 16th row and doubled for rows still tied
+at their last column, so lattices, where most rows tie, need no ball queries.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -169,41 +172,53 @@ def _k_nearest_arrays(
     """(ids, distances) of the k nearest neighbors of many nodes at once.
 
     Returns two (m, k) arrays, one row per entry of `nodes` (every node of
-    the cloud by default). One batched tree pass: the k + 1 nearest give a
-    cutoff; rows whose (k+2)-th nearest is within it (ties) take an inflated
-    ball with every node at the k-th distance, the rest their k + 1 nearest.
-    The candidates, padded into one 2-d array, are sorted by id, then stably
-    by distance: row by row the (distance, id) order a brute-force scan gives.
-    Duplicate detection is left to the caller (a zero first distance),
-    keeping per-node failure semantics.
+    the cloud by default). A row's candidates are the nodes within its cutoff,
+    the (k+1)-th tree distance (1 + 1e-12) + 1e-300, ties at the k-th included.
+    Every 16th row is queried first at k + 2 columns; the others start at the
+    widest count a sampled row needed if half the sample ties, else at k + 2.
+    A row whose last column is within its cutoff is queried again at double
+    the width, capped at n. The candidates, padded with the row's center, are
+    sorted by id, then stably by distance: the (distance, id) order of a
+    brute-force scan. A zero first distance (a duplicate) is the caller's.
     """
-    cloud = index.cloud
-    n = cloud.n
+    coords = index.cloud.coords
+    n = len(coords)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if k > n - 1:
         raise InsufficientNodesError(
             f"requested {k} neighbors but cloud has only {n - 1} other nodes"
         )
-    coords = cloud.coords
     nodes = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.intp)
-    x = coords[nodes]
-    dist, near = index.tree.query(x, k=k + 2)
-    cutoffs = dist[:, k] * (1.0 + 1e-12) + 1e-300
-    tied = dist[:, k + 1] <= cutoffs
-    balls = index.tree.query_ball_point(x[tied], r=cutoffs[tied], return_sorted=False)
-    sizes = np.full(nodes.size, k + 1)
-    sizes[tied] = list(map(len, balls))
-    # pad each row with its own center, which is excluded below anyway
-    cand = np.repeat(nodes[:, None], sizes.max(), axis=1)
-    cand[:, : k + 1] = np.where(tied[:, None], nodes[:, None], near[:, : k + 1])
-    fill = tied[:, None] & (np.arange(cand.shape[1]) < sizes[:, None])
-    cand[fill] = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp)
+    x = np.take(coords, nodes, axis=0)
+    sample = np.arange(nodes.size) % 16 == 0
+    inside = np.empty(nodes.size, dtype=np.intp)  # candidates within each cutoff
+    found = []  # (rows, candidates with the center in place of the rest)
+    for rows, width in ((np.flatnonzero(sample), k + 2), (np.flatnonzero(~sample), 0)):
+        if not width:  # the sample's widths, if it ties
+            tied = inside[sample] >= k + 2
+            width = inside[sample].max() + 1 if 2 * tied.sum() >= tied.size else k + 2
+        while rows.size:
+            width = min(width, n)
+            dist, near = index.tree.query(x[rows], k=width)
+            within = dist <= dist[:, k, None] * (1.0 + 1e-12) + 1e-300
+            done = ~within[:, -1] | (width == n)
+            inside[rows[done]] = np.count_nonzero(within[done], axis=1)
+            found.append((rows[done], np.where(within, near, nodes[rows, None])[done]))
+            rows, width = rows[~done], 2 * width
+    cand = np.repeat(nodes[:, None], inside.max(), axis=1)
+    for rows, ids in found:
+        cand[rows, : ids.shape[1]] = ids[:, : cand.shape[1]]
     cand.sort(axis=1)
-    d = np.sqrt(sum((coords[cand, j] - x[:, j, None]) ** 2 for j in range(cloud.dim)))
+    d = np.sqrt(_axis_sum((np.take(coords, cand, axis=0) - x[:, None]) ** 2))
     d[cand == nodes[:, None]] = np.inf
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(cand, order, 1), np.take_along_axis(d, order, 1)
+
+
+def _axis_sum(terms: np.ndarray) -> np.ndarray:
+    """Non-negative (..., d) terms summed left to right, with np.sum(axis=-1)'s bits."""
+    return functools.reduce(np.add, (terms[..., j] for j in range(terms.shape[-1])))
 
 
 def average_spacing(cloud: PointCloud, neighbors: NeighborSet) -> float:
@@ -230,7 +245,7 @@ def _support_offsets(cloud: PointCloud, neighbors: NeighborSet) -> np.ndarray:
 
 def _spacing(offsets: np.ndarray) -> np.ndarray:
     """h(x_p) of many nodes at once: the mean L1 norm of offsets (m, k, d)."""
-    return np.mean(np.sum(np.abs(offsets), axis=2), axis=1)
+    return np.mean(_axis_sum(np.abs(offsets)), axis=1)
 
 
 def normalized_spacing(n: int, d: int) -> float:

@@ -38,6 +38,7 @@ from .cloud import (
     NeighborSet,
     PointCloud,
     SpatialIndex,
+    _axis_sum,
     _integer,
     _k_nearest_arrays,
     _spacing,
@@ -253,7 +254,7 @@ def _assemble(offsets: np.ndarray, eps: np.ndarray, chain):
     A = B^T B (m, l, l)."""
     scaled = offsets / eps[:, None, None]
     V = _basis_matrix(scaled, chain)
-    E = np.exp(-0.5 * np.sum(scaled**2, axis=2))
+    E = np.exp(-0.5 * _axis_sum(scaled**2))
     B = E[..., None] * V
     return V, E, np.matmul(B.transpose(0, 2, 1), B)
 
@@ -270,6 +271,11 @@ def _moment_deviation(V, w, eps, order: int, b: np.ndarray) -> np.ndarray:
     verify_moments alike."""
     Z = np.matmul(V.transpose(0, 2, 1), (w * eps[:, None] ** order)[..., None])
     return np.max(np.abs(Z[..., 0] - b), axis=1)
+
+
+def _norm1(M: np.ndarray) -> np.ndarray:
+    """Stacked 1-norms, summed row by row: np.linalg.norm(M, 1, (1, 2))'s bits."""
+    return functools.reduce(np.add, np.abs(M).transpose(1, 0, 2)).max(axis=1)
 
 
 def _solve(V, E, A, eps, rhs: np.ndarray, order: int):
@@ -292,7 +298,7 @@ def _solve(V, E, A, eps, rhs: np.ndarray, order: int):
             with contextlib.suppress(np.linalg.LinAlgError):
                 inv[i] = np.linalg.inv(A[i : i + 1])[0]
     with np.errstate(all="ignore"):  # failed rows: inf and nan, dropped later
-        cond = np.linalg.norm(A, 1, (1, 2)) * np.linalg.norm(inv, 1, (1, 2))
+        cond = _norm1(A) * _norm1(inv)
         # one right-hand side at a time, shaped (m, l, 1), so a shared
         # multi-target build is bit-identical to single-target builds
         coeffs = np.stack([inv @ np.broadcast_to(b[:, None], (m, l, 1)) for b in rhs.T])
@@ -457,7 +463,7 @@ def _solve_block(
         int(p): str(DuplicateNodeError(p, q)) for p, q in zip(nodes[twin], ids[twin, 0])
     }
     nodes, ids = nodes[~twin], ids[~twin]
-    offsets = cloud.coords[nodes, None] - cloud.coords[ids]  # center minus neighbor
+    offsets = np.take(cloud.coords, nodes, 0)[:, None] - np.take(cloud.coords, ids, 0)
     eps = spec.eps_factor * _spacing(offsets)
     V, E, A = _assemble(offsets, eps, _basis_cached(spec.alpha, spec.r)[1])
     cond, _, W, why = _solve(V, E, A, eps, rhs, spec.order)
@@ -480,7 +486,10 @@ def _build_many(
     Each growth attempt is one batched pass over the pending nodes, in
     blocks; the nodes whose support fails a gate are regrown together, up
     to k = n - 1. A cloud of at most l nodes cannot hold a support of l and
-    raises InsufficientSupportError before the first attempt.
+    raises InsufficientSupportError before the first attempt, and one with
+    u <= |alpha| + r - 1 distinct values on an axis OperatorBuildError: the
+    offsets take u values there, 0 among them, so v prod(v - c) over the others
+    lies in the basis span and vanishes on every support.
     """
     if index.cloud != cloud:
         raise ValueError("spatial index was built for a different cloud")
@@ -492,6 +501,12 @@ def _build_many(
         raise InsufficientSupportError(
             f"cloud of {n} nodes cannot determine {l} basis moments"
         )
+    need = spec.order + spec.r  # distinct values per axis: the basis degree + 1
+    for xyz, u in zip("xyz", (np.unique(c).size for c in cloud.coords.T)):
+        if u < need:
+            why = f"axis {xyz} has {u} distinct coordinates, the basis needs {need}"
+            fail = [str(IllConditionedNodeError(p, why)) for p in range(n)]
+            raise OperatorBuildError(dict(enumerate(fail)))
     k = min(math.ceil(spec.neighbor_factor * l), n - 1)
 
     blocks, failed = [], {}
@@ -641,8 +656,8 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     def check(nodes):
         at = starts[nodes, None] + np.arange(counts[nodes[0]])  # stencil entries
         eps = op.eps[nodes]
-        v = (cloud.coords[nodes, None] - cloud.coords[ids[at]]) / eps[:, None, None]
-        V = _basis_matrix(v, chain)
+        v = np.take(cloud.coords, nodes, 0)[:, None] - np.take(cloud.coords, ids[at], 0)
+        V = _basis_matrix(v / eps[:, None, None], chain)
         return nodes, _moment_deviation(V, w[at], eps, op.order, target)
 
     out = np.empty(op.n)

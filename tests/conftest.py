@@ -35,6 +35,11 @@ def jittered_cloud(dim: int, per_axis: int, seed: int = 0, amount: float = 0.25)
     return PointCloud(coords)
 
 
+def lattice(*shape: int) -> np.ndarray:
+    """Integer lattice nodes of the given shape, one column per axis, C order."""
+    return np.indices(shape).reshape(len(shape), -1).T.astype(float)
+
+
 def brute_force_neighbors(coords: np.ndarray, center: int, k: int):
     """Reference k-nearest: full distance scan, ties broken by ascending id."""
     d = np.sqrt(np.sum((coords - coords[center]) ** 2, axis=1))

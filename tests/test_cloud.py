@@ -16,8 +16,8 @@ from dcpse import (
     k_nearest,
     normalized_spacing,
 )
-from dcpse.cloud import _k_nearest_arrays
-from conftest import brute_force_neighbors, jittered_cloud
+from dcpse.cloud import SpatialIndex, _k_nearest_arrays
+from conftest import brute_force_neighbors, jittered_cloud, lattice
 
 
 class TestPointCloud:
@@ -205,6 +205,86 @@ class TestKNearest:
                     want_ids, want_dist = brute_force_neighbors(cloud.coords, int(p), kk)
                     assert np.array_equal(ids[row], want_ids)
                     assert np.array_equal(dist[row], want_dist)
+
+
+class _QueryLog:
+    """A k-d tree stand-in that records (rows, columns) of each query."""
+
+    def __init__(self, tree):
+        self.tree, self.shapes = tree, []
+
+    def query(self, x, k):
+        self.shapes.append((len(x), int(k)))
+        return self.tree.query(x, k=k)
+
+
+def _logged_query(coords, k, nodes=None):
+    """Query shapes of _k_nearest_arrays over `coords`, after checking its rows
+    against the brute-force scan's bytes for every node or for `nodes`."""
+    cloud = PointCloud(coords)
+    log = _QueryLog(build_index(cloud).tree)
+    ids, dist = _k_nearest_arrays(SpatialIndex(cloud, log), k, nodes)
+    centers = range(cloud.n) if nodes is None else nodes
+    assert ids.shape == dist.shape == (len(centers), k)
+    for row, p in enumerate(centers):
+        want_ids, want_dist = brute_force_neighbors(cloud.coords, int(p), k)
+        assert np.array_equal(ids[row], want_ids), p
+        assert np.array_equal(dist[row], want_dist), p
+    return log.shapes
+
+
+def _rest_widths(shapes, m):
+    """Column counts of the queries after the 16-row sample of m rows."""
+    rest = m - len(range(0, m, 16))
+    return [w for _, w in shapes[[r for r, _ in shapes].index(rest) :]]
+
+
+class TestRectangularQuery:
+    """Every 16th row is queried first; the rest start at the widest column
+    count a sampled row needed when half the sample ties, else at k + 2, and
+    double their width, capped at n, until the last column is past the cutoff."""
+
+    @pytest.mark.parametrize("k", [12, 20])
+    @pytest.mark.parametrize("lattice_first", [True, False])
+    def test_sample_of_a_mixed_cloud_misleads_either_way(self, lattice_first, k):
+        # the sample's majority kind sets the first width of the other rows:
+        # wider than scattered rows need, or too narrow for the lattice rows
+        rng = np.random.default_rng(7)
+        if lattice_first:  # 216 lattice rows, most tied, then 60 scattered
+            coords = np.vstack([lattice(6, 6, 6), rng.uniform(10, 15, (60, 3))])
+        else:  # 300 scattered rows, then 64 lattice rows
+            coords = np.vstack([rng.uniform(10, 15, (300, 3)), lattice(4, 4, 4)])
+        for nodes in (None, np.arange(len(coords))[::-3]):
+            m = len(coords) if nodes is None else nodes.size
+            widths = _rest_widths(_logged_query(coords, k, nodes), m)
+            if lattice_first:
+                assert widths[0] > k + 2
+            else:
+                assert widths[:2] == [k + 2, 2 * (k + 2)]
+
+    @pytest.mark.parametrize(
+        "shape,k", [((6, 6, 6), 23), ((4, 4, 4), 20), ((6, 6), 18), ((7, 5), 13)]
+    )
+    def test_rows_wider_than_the_sample_double(self, shape, k):
+        # boundary rows reach more tied nodes than any sampled row did; the
+        # 2-d cases double up to the cap of n columns
+        coords = lattice(*shape)
+        for nodes in (None, np.arange(len(coords))[::2]):
+            m = len(coords) if nodes is None else nodes.size
+            widths = _rest_widths(_logged_query(coords, k, nodes), m)
+            if nodes is None:
+                assert widths[0] > k + 2
+                assert widths[1] == min(2 * widths[0], len(coords))
+
+    @pytest.mark.parametrize("offset", [1, 2, 3])
+    def test_query_is_capped_at_n_columns(self, offset):
+        # k + 2 > n at k = n - 1: no query asks for more columns than nodes
+        rng = np.random.default_rng(offset)
+        for coords in (lattice(3, 3, 3), lattice(5, 4), rng.uniform(size=(40, 2))):
+            k = len(coords) - offset
+            for nodes in (None, np.arange(len(coords))[::5]):
+                shapes = _logged_query(coords, k, nodes)
+                assert max(w for _, w in shapes) <= len(coords)
 
 
 class TestAverageSpacing:

@@ -43,7 +43,7 @@ from dcpse.operators import (
     kernel_weights,
     multi_index_order,
 )
-from conftest import full_poly, jittered_cloud, poly_derivative, poly_eval
+from conftest import full_poly, jittered_cloud, lattice, poly_derivative, poly_eval
 
 
 class TestMonomialBasis:
@@ -257,20 +257,24 @@ class TestMomentSystem:
             assert not copy.flags.c_contiguous
             assert np.array_equal(_basis_matrix(copy, chain), V)
 
-    def test_solve_reads_the_inverse(self):
+    def test_solve_reads_the_inverse(self, cantilever):
         # one inverse per node gives both the coefficients A^-1 b and the
-        # condition estimate, with the bits of np.linalg.cond(A, 1)
-        cloud = jittered_cloud(2, 9, seed=3)
-        index = build_index(cloud)
-        spec = OperatorSpec(alpha=(1, 0))
-        op = build_operator(cloud, index, spec)
-        for p in range(cloud.n):
-            ns = k_nearest(index, p, int(op.support_size[p]))
-            system = assemble_moment_system(cloud, ns, spec, average_spacing(cloud, ns))
-            want = np.linalg.inv(system.A[None]) @ system.b[None, :, None]
-            got = solve_kernel_coefficients(system)
-            assert np.array_equal(got, want[0, :, 0]), p
-            assert op.condition[p] == np.linalg.cond(system.A, 1), p
+        # condition estimate, with the bits of np.linalg.cond(A, 1): on a 2-d
+        # jittered cloud, and in 3-d on cantilever L0 structured, 87 of whose
+        # 525 nodes regrow to k = 30 (l = 10)
+        planar = jittered_cloud(2, 9, seed=3)
+        built = build_operator(planar, build_index(planar), OperatorSpec(alpha=(1, 0)))
+        for cloud, op in ((planar, built), (cantilever[0], cantilever[1][0])):
+            index = build_index(cloud)
+            spec = OperatorSpec(alpha=op.alpha)
+            for p in range(cloud.n):
+                ns = k_nearest(index, p, int(op.support_size[p]))
+                eps = average_spacing(cloud, ns)
+                system = assemble_moment_system(cloud, ns, spec, eps)
+                want = np.linalg.inv(system.A[None]) @ system.b[None, :, None]
+                got = solve_kernel_coefficients(system)
+                assert np.array_equal(got, want[0, :, 0]), p
+                assert op.condition[p] == np.linalg.cond(system.A, 1), p
 
     def test_singular_row_in_a_stack(self):
         # np.linalg.inv raises for the whole stack when one matrix is
@@ -501,6 +505,39 @@ class TestBuildOperator:
             build_operator(cloud, index, OperatorSpec(alpha=(0, 1)))
         assert len(err.value.failed_nodes) == cloud.n
         assert "node" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "shape,alpha,r,why",
+        [
+            # 5 x 5 x 21 nodes: degree 5 in x needs 6 distinct values
+            ((5, 5, 21), (2, 0, 0), 4, "axis x has 5 distinct coordinates, the basis needs 6"),
+            ((10, 3), (1, 0), 3, "axis y has 3 distinct coordinates, the basis needs 4"),
+        ],
+        ids=["cantilever-0-x", "grid-10x3-y"],
+    )
+    def test_basis_the_axis_cannot_resolve_fails_at_once(
+        self, shape, alpha, r, why, monkeypatch
+    ):
+        # the offsets take at most u values on the axis, one of them 0, so
+        # v (v - c_1) ... (v - c_{u-1}) vanishes on every support and lies in
+        # the span of a basis of degree >= u: no growth attempt runs
+        if len(shape) == 3:
+            cloud = generate_nodes("cantilever", 0)
+            assert [np.unique(c).size for c in cloud.coords.T] == list(shape)
+        else:
+            cloud = PointCloud(lattice(*shape))
+        monkeypatch.setattr(operators, "_solve_block", None)
+        with pytest.raises(OperatorBuildError) as err:
+            build_operator(cloud, build_index(cloud), OperatorSpec(alpha=alpha, r=r))
+        assert err.value.failed_nodes == {
+            p: str(IllConditionedNodeError(p, why)) for p in range(cloud.n)
+        }
+
+    def test_axis_with_just_enough_values_builds(self):
+        # u = |alpha| + r distinct values on an axis: 10 x 4 nodes at r = 3
+        cloud = PointCloud(lattice(10, 4))
+        op = build_operator(cloud, build_index(cloud), OperatorSpec(alpha=(1, 0), r=3))
+        assert float(np.max(verify_moments(op, cloud))) <= 1e-8
 
     def test_duplicate_node_fails_with_its_own_message(self):
         cloud = jittered_cloud(2, 8, seed=4)
