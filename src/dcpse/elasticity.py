@@ -127,7 +127,10 @@ class SymTensorField:
         return cls(data=data, dim=d)
 
     def trace(self) -> np.ndarray:
-        return np.sum(self.data[:, _DIAGONAL[self.dim]], axis=1)
+        out = self.data[:, 0] + 0.0  # np.sum starts at +0.0: a -0.0 diagonal sums to +0.0
+        for slot in _DIAGONAL[self.dim][1:]:
+            out += self.data[:, slot]
+        return out
 
 
 def displacement_gradient(
@@ -245,12 +248,15 @@ def principal_stresses(stress: SymTensorField) -> np.ndarray:
     if stress.dim == 1:
         return stress.data.copy()
     if stress.dim == 2:
-        sxx = stress.component("xx")
-        syy = stress.component("yy")
-        sxy = stress.component("xy")
-        center = 0.5 * (sxx + syy)
-        radius = np.sqrt((0.5 * (sxx - syy)) ** 2 + sxy**2)
-        return np.column_stack([center + radius, center - radius])
+        sxx, sxy, syy = stress.data.T
+        center, radius = 0.5 * (sxx + syy), 0.5 * (sxx - syy)
+        np.square(radius, out=radius)
+        radius += np.square(sxy)
+        np.sqrt(radius, out=radius)
+        out = np.empty((stress.n, 2))
+        np.add(center, radius, out=out[:, 0])
+        np.subtract(center, radius, out=out[:, 1])
+        return out
     vals = np.linalg.eigvalsh(stress.as_matrices())
     return vals[:, ::-1]
 

@@ -35,6 +35,15 @@ def jittered_cloud(dim: int, per_axis: int, seed: int = 0, amount: float = 0.25)
     return PointCloud(coords)
 
 
+def clustered_cloud() -> PointCloud:
+    """1,000 uniform nodes plus 1,000 in a box of side 1e-4."""
+    rng = np.random.default_rng(0)
+    wide = rng.uniform(0.0, 1.0, size=(1000, 2))
+    return PointCloud(
+        np.vstack([wide, 0.5 + 1e-4 * rng.uniform(0.0, 1.0, size=(1000, 2))])
+    )
+
+
 def lattice(*shape: int) -> np.ndarray:
     """Integer lattice nodes of the given shape, one column per axis, C order."""
     return np.indices(shape).reshape(len(shape), -1).T.astype(float)

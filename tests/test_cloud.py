@@ -17,7 +17,7 @@ from dcpse import (
     normalized_spacing,
 )
 from dcpse.cloud import SpatialIndex, _k_nearest_arrays
-from conftest import brute_force_neighbors, jittered_cloud, lattice
+from conftest import brute_force_neighbors, clustered_cloud, jittered_cloud, lattice
 
 
 class TestPointCloud:
@@ -205,6 +205,29 @@ class TestKNearest:
                     want_ids, want_dist = brute_force_neighbors(cloud.coords, int(p), kk)
                     assert np.array_equal(ids[row], want_ids)
                     assert np.array_equal(dist[row], want_dist)
+
+    @pytest.mark.parametrize("shape", ["clustered", "nearly-1d", "graded"])
+    def test_skewed_clouds_match_brute_force(self, shape):
+        # clouds that pull an unbalanced tree's splits far apart: a 1e-4 box of
+        # nodes inside a sparse square, a strip 1e-6 thin, a cloud crowded by
+        # x -> x^4; every row, batched and per node, is the scan's bytes
+        u = np.random.default_rng(0).uniform(0.0, 1.0, (2000, 2))
+        cloud = {
+            "clustered": clustered_cloud,
+            "nearly-1d": lambda: PointCloud(u[:500] * [1.0, 1e-6]),
+            "graded": lambda: PointCloud(np.column_stack([u[:, 0] ** 4, u[:, 1]])),
+        }[shape]()
+        index = build_index(cloud)
+        want = [brute_force_neighbors(cloud.coords, p, 20) for p in range(cloud.n)]
+        for k in (6, 12, 20):
+            ids, dist = _k_nearest_arrays(index, k)
+            for p, (want_ids, want_dist) in enumerate(want):
+                assert np.array_equal(ids[p], want_ids[:k]), p
+                assert np.array_equal(dist[p], want_dist[:k]), p
+            for p in range(0, cloud.n, 41):
+                ns = k_nearest(index, p, k)
+                assert np.array_equal(ns.ids, want[p][0][:k]), p
+                assert np.array_equal(ns.distances, want[p][1][:k]), p
 
 
 class _QueryLog:

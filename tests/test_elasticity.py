@@ -30,6 +30,7 @@ from dcpse import (
     von_mises,
     write_field_csv,
 )
+from dcpse.elasticity import _COMPONENTS, _DIAGONAL
 from conftest import jittered_cloud
 
 
@@ -109,6 +110,19 @@ class TestSymTensorField:
     def test_trace(self):
         field = SymTensorField(np.array([[1.0, 9.0, 2.0]]), dim=2)
         assert field.trace()[0] == 3.0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_trace_has_np_sum_bits(self, dim):
+        # np.sum adds the diagonal to +0.0: a diagonal of -0.0 entries has
+        # trace +0.0, and every other trace is np.sum's to the bit
+        rng = np.random.default_rng(dim)
+        data = rng.normal(size=(400, len(_COMPONENTS[dim])))
+        data *= rng.choice([0.0, -0.0, 1.0, 1e300], size=data.shape)
+        data[:2] = -0.0
+        field = SymTensorField(data, dim=dim)
+        got = field.trace()
+        assert got.tobytes() == np.sum(data[:, _DIAGONAL[dim]], axis=1).tobytes()
+        assert not np.any(np.signbit(got[:2]))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -216,6 +230,19 @@ class TestHooke:
         assert stress.component("xy")[0] == pytest.approx(2 * mat.mu * g)
         assert stress.component("xx")[0] == 0.0
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_negative_zero_strain_keeps_the_trace_sign(self, dim):
+        # 2 mu (-0.0) + lam tr(eps): the diagonal takes the sign of np.sum's
+        # +0.0 trace, the shears keep -0.0
+        mat = ElasticMaterial(young=7.0, poisson=0.3)
+        strain = SymTensorField(np.full((3, len(_COMPONENTS[dim])), -0.0), dim=dim)
+        want = 2.0 * mat.mu * strain.data
+        want[:, _DIAGONAL[dim]] += mat.lam * np.sum(strain.data[:, _DIAGONAL[dim]], axis=1)[:, None]
+        got = stress_from_strain(strain, mat).data
+        assert got.tobytes() == want.tobytes()
+        shear = [k not in _DIAGONAL[dim] for k in range(got.shape[1])]
+        assert np.array_equal(np.signbit(got[0]), shear)
+
     def test_hydrostatic_strain(self):
         mat = ElasticMaterial(young=7.0, poisson=0.3)
         e = 5e-4
@@ -318,6 +345,16 @@ class TestPrincipal:
         got = principal_stresses(stress)
         want = np.linalg.eigvalsh(stress.as_matrices())[:, ::-1]
         assert np.allclose(got, want, rtol=1e-12, atol=1e-9)
+
+    def test_2d_has_the_closed_form_bits(self):
+        # (c + r, c - r) with c = (sxx + syy) / 2, r = sqrt(((sxx - syy) / 2)^2 + sxy^2)
+        rng = np.random.default_rng(7)
+        data = rng.normal(size=(300, 3)) * rng.choice([0.0, -0.0, 1.0, 1e150], size=(300, 3))
+        sxx, sxy, syy = data.T
+        center = 0.5 * (sxx + syy)
+        radius = np.sqrt((0.5 * (sxx - syy)) ** 2 + sxy**2)
+        want = np.column_stack([center + radius, center - radius])
+        assert principal_stresses(SymTensorField(data, dim=2)).tobytes() == want.tobytes()
 
     def test_sorted_descending(self):
         rng = np.random.default_rng(4)

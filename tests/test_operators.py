@@ -43,7 +43,14 @@ from dcpse.operators import (
     kernel_weights,
     multi_index_order,
 )
-from conftest import full_poly, jittered_cloud, lattice, poly_derivative, poly_eval
+from conftest import (
+    clustered_cloud,
+    full_poly,
+    jittered_cloud,
+    lattice,
+    poly_derivative,
+    poly_eval,
+)
 
 
 class TestMonomialBasis:
@@ -825,15 +832,6 @@ def _gradient_rhs(dim):
     return OperatorSpec(alpha=alphas[0]), np.column_stack([_rhs(basis, a) for a in alphas])
 
 
-def _clustered_cloud():
-    """1,000 uniform nodes plus 1,000 in a box of side 1e-4."""
-    rng = np.random.default_rng(0)
-    wide = rng.uniform(0.0, 1.0, size=(1000, 2))
-    return PointCloud(
-        np.vstack([wide, 0.5 + 1e-4 * rng.uniform(0.0, 1.0, size=(1000, 2))])
-    )
-
-
 class TestBatchedEngine:
     """The stacked build gives each node the bits it would get alone, and
     the numbers the public per-node API gives."""
@@ -919,7 +917,7 @@ class TestBatchedEngine:
         self, name, cond_threshold, monkeypatch
     ):
         if name == "clustered":
-            cloud = _clustered_cloud()
+            cloud = clustered_cloud()
         else:
             t = np.linspace(0.0, 1.0, 30)
             cloud = PointCloud(np.column_stack([t, 2.0 * t]))
@@ -1024,7 +1022,7 @@ class TestParallelBuild:
             assert np.array_equal(a, b)
 
     def test_failed_nodes_do_not_depend_on_worker_count(self, monkeypatch):
-        cloud = _clustered_cloud()
+        cloud = clustered_cloud()
         index = build_index(cloud)
         errors = []
         for workers in (1, operators._workers(), 3):
