@@ -8,10 +8,9 @@ levels and fits slopes.
 
 Input checks live in the library; the CLI checks only that the named field
 or displacement columns exist, and maps exceptions to exit codes: 0 on
-success; 1, printing "numerical failure: ...", on OperatorBuildError and
-IllConditionedNodeError; 2, printing "error: ...", on ValueError (ParseError
-and DuplicateNodeError among them), FileNotFoundError, IsADirectoryError and
-PermissionError.
+success; 1, printing "numerical failure: ...", on OperatorBuildError; 2,
+printing "error: ...", on ValueError (ParseError and DuplicateNodeError among
+them), FileNotFoundError, IsADirectoryError and PermissionError.
 
 Human-oriented diagnostics (support sizes, condition estimates, moment
 residuals) and the one failure line go to stderr; results go to the
@@ -37,7 +36,6 @@ from .cloud import build_index
 from .elasticity import ElasticMaterial, recover
 from .io_formats import read_points_csv, write_field_csv, write_report
 from .operators import (
-    IllConditionedNodeError,
     OperatorBuildError,
     OperatorSpec,
     build_operator,
@@ -259,7 +257,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OperatorBuildError, IllConditionedNodeError) as err:
+    except OperatorBuildError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except _USAGE_ERRORS as err:

@@ -3,12 +3,11 @@
 A point cloud is an ordered set of nodes in 1, 2, or 3 dimensions. Node ids
 are the row indices of the coordinate array and every downstream structure
 (neighborhoods, operators, recovered fields) refers to nodes by these ids.
-Neighbor queries are deterministic: they return exactly the ids a brute-force
-distance scan would return, with ties broken by ascending node id. A cloud may
-hold coincident nodes; a neighbor query at one raises DuplicateNodeError. The
-batched query asks the k-d tree only for the w nearest of each row, w at least
-k + 2, widened by a sample of every 16th row and doubled for rows still tied
-at their last column, so lattices, where most rows tie, need no ball queries.
+A cloud may hold coincident nodes; an operator build names each of them in
+its failures. The batched neighbor query asks the k-d tree only for the w
+nearest of each row, w at least k + 2, widened by a sample of every 16th row
+and doubled for rows still tied at their last column, so lattices, where most
+rows tie, need no ball queries.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 __all__ = [
-    "DuplicateNodeError", "EmptyCloudError", "InsufficientNodesError", "NeighborSet",
-    "PointCloud", "SpatialIndex", "average_spacing", "build_index", "k_nearest",
-    "normalized_spacing",
+    "DuplicateNodeError", "EmptyCloudError", "PointCloud", "SpatialIndex",
+    "build_index", "normalized_spacing",
 ]
 
 
@@ -36,10 +34,6 @@ def _integer(name: str, value) -> int:
 
 class EmptyCloudError(ValueError):
     """Raised when a cloud with zero nodes is constructed."""
-
-
-class InsufficientNodesError(ValueError):
-    """Raised when a query asks for more neighbors than the cloud can supply."""
 
 
 class DuplicateNodeError(ValueError):
@@ -106,66 +100,15 @@ class SpatialIndex:
     tree: cKDTree = field(repr=False)
 
 
-@dataclass(frozen=True, eq=False)
-class NeighborSet:
-    """Neighbors of one node, sorted by (distance, id), center excluded.
-
-    Distances are strictly positive: a zero distance means the center node
-    has an exact duplicate, which is rejected because derivative stencils
-    are undefined there.
-    """
-
-    node: int
-    ids: np.ndarray
-    distances: np.ndarray
-
-    def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=np.intp)
-        dist = np.asarray(self.distances, dtype=np.float64)
-        if ids.shape != dist.shape or ids.ndim != 1:
-            raise ValueError("ids and distances must be equal-length 1-d arrays")
-        if dist.size and dist[0] <= 0.0:
-            raise DuplicateNodeError(self.node, ids[0])
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "distances", dist)
-
-    def __len__(self) -> int:
-        return self.ids.size
-
-
 def build_index(cloud: PointCloud) -> SpatialIndex:
     """Build the k-d tree of a cloud.
 
     The tree is unbalanced (sliding-midpoint splits), which builds faster;
     its queries are exact all the same, so neighbors do not depend on it.
-    Coincident nodes are indexed as they are; a query at one raises
-    DuplicateNodeError, and the operator build names each in its failures.
+    Coincident nodes are indexed as they are; the operator build names each
+    in its failures.
     """
     return SpatialIndex(cloud=cloud, tree=cKDTree(cloud.coords, balanced_tree=False))
-
-
-def k_nearest(index: SpatialIndex, center: int, k: int) -> NeighborSet:
-    """Return the k nearest neighbors of node `center`, excluding itself.
-
-    The result is identical to a brute-force distance scan: sorted by
-    distance, ties broken by ascending node id. It is one row of the batched
-    query the operator builder runs.
-
-    Parameters
-    ----------
-    index : SpatialIndex
-    center : int
-        Node id.
-    k : int
-        Number of neighbors, 1 <= k <= n-1.
-    """
-    center, k = _integer("center", center), _integer("k", k)
-    if not 0 <= center < index.cloud.n:
-        raise IndexError(
-            f"center id {center} out of range for cloud of {index.cloud.n} nodes"
-        )
-    ids, dist = _k_nearest_arrays(index, k, [center])
-    return NeighborSet(node=center, ids=ids[0], distances=dist[0])
 
 
 def _k_nearest_arrays(
@@ -182,15 +125,12 @@ def _k_nearest_arrays(
     the width, capped at n. The candidates, padded with the row's center, are
     sorted by id, then stably by distance: the (distance, id) order of a
     brute-force scan. A zero first distance (a duplicate) is the caller's.
+    ValueError unless 1 <= k <= n - 1.
     """
     coords = index.cloud.coords
     n = len(coords)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > n - 1:
-        raise InsufficientNodesError(
-            f"requested {k} neighbors but cloud has only {n - 1} other nodes"
-        )
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
     nodes = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.intp)
     x = np.take(coords, nodes, axis=0)
     sample = np.arange(nodes.size) % 16 == 0
@@ -221,28 +161,6 @@ def _k_nearest_arrays(
 def _axis_sum(terms: np.ndarray) -> np.ndarray:
     """Non-negative (..., d) terms summed left to right, with np.sum(axis=-1)'s bits."""
     return functools.reduce(np.add, (terms[..., j] for j in range(terms.shape[-1])))
-
-
-def average_spacing(cloud: PointCloud, neighbors: NeighborSet) -> float:
-    """Mean over the support of the L1 norm of the offsets to the center.
-
-    This is the local spacing measure h(x_p) that scales the kernel width,
-    the builder's spacing on a batch of one.
-    """
-    if len(neighbors) == 0:
-        raise ValueError("cannot measure spacing of an empty neighbor set")
-    return float(_spacing(_support_offsets(cloud, neighbors)[None])[0])
-
-
-def _support_offsets(cloud: PointCloud, neighbors: NeighborSet) -> np.ndarray:
-    """Center minus support coordinates, (k, d); ValueError naming the node if it
-    or a support id lies outside [0, n), or if the support holds the node itself."""
-    node, ids, n = _integer("node", neighbors.node), neighbors.ids, cloud.n
-    if not 0 <= node < n or np.any((ids < 0) | (ids >= n)):
-        raise ValueError(f"node {node}: node and support ids must lie in [0, {n})")
-    if np.any(ids == node):
-        raise ValueError(f"node {node}: support contains the node itself")
-    return cloud.coords[node] - cloud.coords[ids]
 
 
 def _spacing(offsets: np.ndarray) -> np.ndarray:

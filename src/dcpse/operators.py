@@ -35,21 +35,18 @@ from scipy.sparse import csr_matrix
 
 from .cloud import (
     DuplicateNodeError,
-    NeighborSet,
     PointCloud,
     SpatialIndex,
     _axis_sum,
     _integer,
     _k_nearest_arrays,
     _spacing,
-    _support_offsets,
 )
 
 __all__ = [
-    "IllConditionedNodeError", "InsufficientSupportError", "MomentSystem",
-    "OperatorBuildError", "OperatorSpec", "StencilOperator", "apply",
-    "assemble_moment_system", "build_operator", "gradient_operator", "monomial_basis",
-    "solve_kernel_coefficients", "verify_moments",
+    "InsufficientSupportError", "NodeReport", "OperatorBuildError", "OperatorSpec",
+    "StencilOperator", "apply", "build_operator", "gradient_operator", "inspect_node",
+    "monomial_basis", "verify_moments",
 ]
 
 _RESIDUAL_TOL = 1e-10
@@ -61,15 +58,7 @@ _BLOCK = 102_400  # stacked (node, neighbor, monomial) entries per chunk: 512 at
 
 
 class InsufficientSupportError(ValueError):
-    """Raised when a support has fewer nodes than basis monomials."""
-
-
-class IllConditionedNodeError(RuntimeError):
-    """Raised when one node's moment system cannot be solved reliably."""
-
-    def __init__(self, node: int, detail: str):
-        self.node = node
-        super().__init__(f"ill-conditioned moment system at node {node}: {detail}")
+    """Raised when a cloud has too few nodes for a support of the basis size."""
 
 
 class OperatorBuildError(RuntimeError):
@@ -87,6 +76,11 @@ class OperatorBuildError(RuntimeError):
         )
 
 
+def _ill_conditioned(node: int, detail: str) -> str:
+    """The failure text of a node whose moment system failed a gate."""
+    return f"ill-conditioned moment system at node {node}: {detail}"
+
+
 def multi_index_order(alpha) -> int:
     """Total order |alpha| of a derivative multi-index."""
     return int(sum(alpha))
@@ -101,13 +95,6 @@ def _validate_alpha(alpha) -> tuple[int, ...]:
     if sum(alpha) < 1:
         raise ValueError(f"derivative order must be at least 1, got {alpha}")
     return alpha
-
-
-def _check_dim(alpha: tuple[int, ...], cloud: PointCloud) -> None:
-    if len(alpha) != cloud.dim:
-        raise ValueError(
-            f"multi-index {alpha} does not match cloud dimension {cloud.dim}"
-        )
 
 
 def _first_partials(d: int) -> list[tuple[int, ...]]:
@@ -205,25 +192,6 @@ def _basis_cached(alpha: tuple[int, ...], r: int):
     return basis, tuple(chain)
 
 
-@dataclass(frozen=True, eq=False)
-class MomentSystem:
-    """Moment-matching system A a = b, A = B^T B, B = E V, of `spec` at `node`.
-
-    V holds the basis monomials at the scaled offsets v_q = (x_p - x_q)/eps
-    (one row per neighbor), E the Gaussian half-window exp(-|v_q|^2 / 2), so
-    E^2 is the kernel window. V's entries are fixed chains of products, e.g.
-    (x*y)*y for x y^2, so their bits do not depend on batch, layout or CPU.
-    """
-
-    spec: OperatorSpec
-    node: int
-    V: np.ndarray
-    E: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    eps: float
-
-
 def _basis_matrix(scaled: np.ndarray, chain) -> np.ndarray:
     # scaled (..., k, d) -> V (..., k, l): column 1, v[axis] or V[parent] * v[axis],
     # correctly rounded products (no pow), so no dependence on batch, layout or CPU
@@ -244,8 +212,8 @@ def _rhs(basis: tuple[tuple[int, ...], ...], alpha: tuple[int, ...]) -> np.ndarr
 
 
 # The stages below are the only numeric path: the builder runs them on blocks
-# of nodes, the per-node API on a batch of one. Every node's numbers come from
-# its own slice of each stacked operation, so they do not depend on the batch.
+# of nodes, inspect_node on a batch of one. Every node's numbers come from its
+# own slice of each stacked operation, so they do not depend on the batch.
 
 
 def _assemble(offsets: np.ndarray, eps: np.ndarray, chain):
@@ -315,58 +283,6 @@ def _solve(V, E, A, eps, rhs: np.ndarray, order: int):
         for i in np.flatnonzero(~(dev <= bound)).tolist():
             why.setdefault(i, f"moment residual {dev[i]:.3e} exceeds {bound:.3e}")
     return cond, coeffs, W, why
-
-
-def assemble_moment_system(
-    cloud: PointCloud,
-    neighbors: NeighborSet,
-    spec: OperatorSpec,
-    eps: float,
-) -> MomentSystem:
-    """Assemble the moment system of D^alpha at one node.
-
-    The builder's assembly stage on a batch of one, so the arrays are the
-    bits the builder uses at this node. Raises InsufficientSupportError
-    when the support has fewer nodes than basis monomials.
-    """
-    if not 0 < eps < math.inf:
-        raise ValueError(f"kernel width eps must be positive and finite, got {eps}")
-    _check_dim(spec.alpha, cloud)
-    basis, chain = _basis_cached(spec.alpha, spec.r)
-    k, l = len(neighbors), len(basis)
-    if k < l:
-        raise InsufficientSupportError(
-            f"node {neighbors.node}: support of {k} nodes cannot determine "
-            f"{l} basis moments"
-        )
-    offsets = _support_offsets(cloud, neighbors)
-    V, E, A = (x[0] for x in _assemble(offsets[None], np.array([float(eps)]), chain))
-    b = _rhs(basis, spec.alpha)
-    return MomentSystem(spec, neighbors.node, V, E, A, b, float(eps))
-
-
-def solve_kernel_coefficients(system: MomentSystem) -> np.ndarray:
-    """Solve the moment system for the kernel coefficient vector a.
-
-    The builder's solve stage on a batch of one: the same solver, the same
-    three gates (singular matrix, condition estimate, moments of the folded
-    weights) and the same bits. Raises IllConditionedNodeError naming the
-    system's node when a gate fails.
-    """
-    s = system
-    stack = s.V[None], s.E[None], s.A[None], np.array([s.eps]), s.b[:, None]
-    _, coeffs, _, why = _solve(*stack, s.spec.order)
-    if why:
-        raise IllConditionedNodeError(system.node, why[0])
-    return coeffs[0, 0, :, 0]
-
-
-def kernel_weights(system: MomentSystem, coeffs: np.ndarray) -> np.ndarray:
-    """Fold coefficients into per-neighbor weights eps^-|alpha| p(v) a W(v),
-    with the builder's weight fold on a batch of one."""
-    a = np.ascontiguousarray(coeffs, dtype=np.float64).reshape(1, -1, 1)
-    eps = np.array([system.eps])
-    return _fold(system.V[None], system.E[None], eps, a, system.spec.order)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,29 +386,32 @@ def _solve_block(
     V, E, A = _assemble(offsets, eps, _basis_cached(spec.alpha, spec.r)[1])
     cond, _, W, why = _solve(V, E, A, eps, rhs, spec.order)
     rows = nodes.tolist()
-    retry = {rows[i]: str(IllConditionedNodeError(rows[i], w)) for i, w in why.items()}
+    retry = {rows[i]: _ill_conditioned(rows[i], w) for i, w in why.items()}
     ok = np.isin(np.arange(nodes.size), list(why), invert=True)
     return (nodes[ok], ids[ok], eps[ok], cond[ok], W[:, ok]), final, retry
 
 
-def _build_many(
+def _growth_plan(
     cloud: PointCloud,
     index: SpatialIndex,
     alphas: list[tuple[int, ...]],
     spec: OperatorSpec,
-) -> list[StencilOperator]:
-    """Build one operator per multi-index in alphas, sharing supports and
-    moment matrices. All alphas must have the same order so the basis and
-    moment matrix coincide; only the right-hand sides differ.
+) -> tuple[np.ndarray, list[int]]:
+    """The checks and growth rule that builds and inspect_node share.
 
-    Each growth attempt is one batched pass over the pending nodes, in
-    blocks; the nodes whose support fails a gate are regrown together, up
-    to k = n - 1. A cloud of at most l nodes cannot hold a support of l and
-    raises InsufficientSupportError before the first attempt, and one with
-    u <= |alpha| + r - 1 distinct values on an axis OperatorBuildError: the
-    offsets take u values there, 0 among them, so v prod(v - c) over the others
-    lies in the basis span and vanishes on every support.
+    Returns the right-hand sides (l, len(alphas)) and the support size of each
+    growth attempt: k0 = ceil(neighbor_factor * l), then 1.5 times the last,
+    capped at n - 1, at most _MAX_GROWTH_ATTEMPTS times. A cloud of at most l
+    nodes cannot hold a support of l and raises InsufficientSupportError, and
+    one with u <= |alpha| + r - 1 distinct values on an axis OperatorBuildError
+    at every node: the offsets take u values there, 0 among them, so
+    v prod(v - c) over the others lies in the basis span and vanishes on
+    every support.
     """
+    if len(alphas[0]) != cloud.dim:
+        raise ValueError(
+            f"multi-index {alphas[0]} does not match cloud dimension {cloud.dim}"
+        )
     if index.cloud != cloud:
         raise ValueError("spatial index was built for a different cloud")
     basis = _basis_cached(alphas[0], spec.r)[0]
@@ -507,15 +426,31 @@ def _build_many(
     for xyz, u in zip("xyz", (np.unique(c).size for c in cloud.coords.T)):
         if u < need:
             why = f"axis {xyz} has {u} distinct coordinates, the basis needs {need}"
-            fail = [str(IllConditionedNodeError(p, why)) for p in range(n)]
-            raise OperatorBuildError(dict(enumerate(fail)))
-    k = min(math.ceil(spec.neighbor_factor * l), n - 1)
+            raise OperatorBuildError({p: _ill_conditioned(p, why) for p in range(n)})
+    sizes = [min(math.ceil(spec.neighbor_factor * l), n - 1)]
+    while len(sizes) <= _MAX_GROWTH_ATTEMPTS and sizes[-1] < n - 1:
+        sizes.append(min(math.ceil(_GROWTH * sizes[-1]), n - 1))
+    return rhs, sizes
 
+
+def _build_many(
+    cloud: PointCloud,
+    index: SpatialIndex,
+    alphas: list[tuple[int, ...]],
+    spec: OperatorSpec,
+) -> list[StencilOperator]:
+    """Build one operator per multi-index in alphas, sharing supports and
+    moment matrices. All alphas must have the same order so the basis and
+    moment matrix coincide; only the right-hand sides differ.
+
+    Each attempt of _growth_plan is one batched pass over the pending nodes,
+    in blocks; the nodes whose support fails a gate are regrown together.
+    """
+    rhs, sizes = _growth_plan(cloud, index, alphas, spec)
+    n, l = cloud.n, len(rhs)
     blocks, failed = [], {}
     pending = np.arange(n)
-    for attempt in range(_MAX_GROWTH_ATTEMPTS + 1):
-        if attempt:
-            k = min(math.ceil(_GROWTH * k), n - 1)
+    for k in sizes:
         retry: dict[int, str] = {}
         solve = functools.partial(_solve_block, cloud, index, spec, rhs, k=k)
         for block, final, again in _in_chunks(solve, pending, k * l):
@@ -523,7 +458,7 @@ def _build_many(
             failed.update(final)
             retry.update(again)
         pending = np.array(sorted(retry), dtype=np.intp)
-        if not retry or k >= n - 1:
+        if not retry:
             break
     failed.update(retry)
     if failed:
@@ -582,10 +517,9 @@ def build_operator(
     of at most 102,400 stacked entries (k * l per node) run on the CPUs of the
     affinity mask. A node's weights do not depend on its block, so the bits
     depend on neither the cut nor the CPU count, and two builds over the same
-    cloud are bit-identical. They are also the bits the per-node API
-    (assemble_moment_system, solve_kernel_coefficients, kernel_weights) gives.
+    cloud are bit-identical. inspect_node replays the attempts at one node
+    and gives the same bits.
     """
-    _check_dim(spec.alpha, cloud)
     return _build_many(cloud, index, [spec.alpha], spec)[0]
 
 
@@ -611,6 +545,52 @@ def gradient_operator(
     alphas = _first_partials(cloud.dim)
     spec = OperatorSpec(alphas[0], r, eps_factor, neighbor_factor)
     return tuple(_build_many(cloud, index, alphas, spec))
+
+
+@dataclass(frozen=True, eq=False)
+class NodeReport:
+    """What build_operator did at one node, from inspect_node.
+
+    `attempts` holds one (k, failure text or None) per growth attempt, with
+    the build's text. `ids`, `eps`, `condition` and `weights` are the node's
+    operator row without the center entry, and None when the last attempt
+    failed.
+    """
+
+    node: int
+    spec: OperatorSpec
+    attempts: tuple[tuple[int, str | None], ...]
+    ids: np.ndarray | None
+    eps: float | None
+    condition: float | None
+    weights: np.ndarray | None
+
+
+def inspect_node(
+    cloud: PointCloud, index: SpatialIndex, spec: OperatorSpec, node: int
+) -> NodeReport:
+    """Replay build_operator's growth attempts at one node.
+
+    Each attempt runs the build's stages on a batch of one, so the report
+    holds the build's bits and failure texts at this node; a node the build
+    would fail gets None in place of its row. The build's checks come first
+    and raise as it does. IndexError if node is not in [0, n).
+    """
+    node = _integer("node", node)
+    if not 0 <= node < cloud.n:
+        raise IndexError(f"node {node} out of range for cloud of {cloud.n} nodes")
+    rhs, sizes = _growth_plan(cloud, index, [spec.alpha], spec)
+    attempts = []
+    for k in sizes:
+        block, final, retry = _solve_block(cloud, index, spec, rhs, np.array([node]), k)
+        attempts.append((k, final.get(node, retry.get(node))))
+        if node not in retry:
+            break
+    row = (None,) * 4
+    if attempts[-1][1] is None:
+        _, ids, eps, cond, W = block
+        row = ids[0], float(eps[0]), float(cond[0]), W[0, 0]
+    return NodeReport(node, spec, tuple(attempts), *row)
 
 
 def _real_field(values) -> np.ndarray:

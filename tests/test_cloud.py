@@ -6,18 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpse import (
-    DuplicateNodeError,
     EmptyCloudError,
-    InsufficientNodesError,
-    NeighborSet,
+    OperatorSpec,
     PointCloud,
-    average_spacing,
     build_index,
-    k_nearest,
+    inspect_node,
     normalized_spacing,
 )
 from dcpse.cloud import SpatialIndex, _k_nearest_arrays
 from conftest import brute_force_neighbors, clustered_cloud, jittered_cloud, lattice
+
+
+def _row(index, center, k):
+    """(ids, distances) of one node's k nearest neighbors, from the batched query."""
+    ids, dist = _k_nearest_arrays(index, k, [center])
+    return ids[0], dist[0]
 
 
 class TestPointCloud:
@@ -67,73 +70,42 @@ class TestKNearest:
     def test_uniform_1d_middle(self):
         h = 0.1
         cloud = PointCloud(np.array([[0.0], [h], [2 * h]]))
-        ns = k_nearest(build_index(cloud), 1, 2)
-        assert sorted(ns.ids.tolist()) == [0, 2]
-        assert np.allclose(ns.distances, h)
+        ids, dist = _row(build_index(cloud), 1, 2)
+        assert sorted(ids.tolist()) == [0, 2]
+        assert np.allclose(dist, h)
 
     def test_square_corner_tie_breaks_by_id(self):
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        ns = k_nearest(build_index(PointCloud(coords)), 0, 2)
+        ids, _ = _row(build_index(PointCloud(coords)), 0, 2)
         # nodes 1 and 2 are equidistant; ascending id wins
-        assert ns.ids.tolist() == [1, 2]
+        assert ids.tolist() == [1, 2]
 
     def test_k_equals_n_minus_1_returns_all(self):
         cloud = jittered_cloud(2, 4, seed=3)
-        ns = k_nearest(build_index(cloud), 5, cloud.n - 1)
-        assert sorted(ns.ids.tolist()) == [i for i in range(cloud.n) if i != 5]
+        ids, _ = _row(build_index(cloud), 5, cloud.n - 1)
+        assert sorted(ids.tolist()) == [i for i in range(cloud.n) if i != 5]
 
-    def test_k_too_large_raises(self):
-        cloud = jittered_cloud(2, 3)
-        index = build_index(cloud)
-        with pytest.raises(InsufficientNodesError):
-            k_nearest(index, 0, cloud.n)
-
-    def test_k_non_positive_raises(self):
-        cloud = jittered_cloud(2, 3)
-        index = build_index(cloud)
-        with pytest.raises(ValueError):
-            k_nearest(index, 0, 0)
-
-    @pytest.mark.parametrize(
-        "center, k, name",
-        [(2.7, 3, "center"), ("3", 3, "center"), (0, 2.5, "k"), (0, 3.0, "k")],
-    )
-    def test_non_integer_center_or_k_rejected(self, center, k, name):
+    @pytest.mark.parametrize("k", [0, -1, 9])
+    def test_k_outside_one_to_n_minus_1_raises(self, k):
         index = build_index(jittered_cloud(2, 3))
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
-            k_nearest(index, center, k)
+        with pytest.raises(ValueError, match=rf"^k must lie in \[1, 8\], got {k}$"):
+            _k_nearest_arrays(index, k, [0])
 
-    def test_numpy_integer_center_and_k_accepted(self):
-        index = build_index(jittered_cloud(2, 3))
-        got = k_nearest(index, np.int64(4), np.int32(3))
-        assert got.ids.tolist() == k_nearest(index, 4, 3).ids.tolist()
-
-    def test_center_out_of_range(self):
-        cloud = jittered_cloud(2, 3)
-        index = build_index(cloud)
-        with pytest.raises(IndexError):
-            k_nearest(index, cloud.n, 1)
-
-    def test_duplicate_node_reported_with_ids(self):
+    def test_duplicate_node_has_a_zero_first_distance(self):
+        # the operator build turns it into DuplicateNodeError(2, 0)
         coords = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(DuplicateNodeError) as err:
-            k_nearest(build_index(PointCloud(coords)), 2, 2)
-        assert err.value.node == 2
-        assert err.value.twin == 0
+        ids, dist = _row(build_index(PointCloud(coords)), 2, 2)
+        assert ids.tolist() == [0, 1] and dist[0] == 0.0
 
-    def test_neighbor_set_shapes_checked(self):
-        with pytest.raises(ValueError, match="equal-length 1-d"):
-            NeighborSet(node=0, ids=[1, 2], distances=[1.0])
-
-    def test_neighbor_set_invariants(self):
+    def test_rows_exclude_the_center_and_sort_by_distance(self):
         cloud = jittered_cloud(2, 8, seed=1)
         index = build_index(cloud)
         for center in (0, 17, 63):
-            ns = k_nearest(index, center, 9)
-            assert center not in ns.ids
-            assert np.all(ns.distances > 0)
-            assert np.all(np.diff(ns.distances) >= 0)
-            assert len(ns) == 9
+            ids, dist = _row(index, center, 9)
+            assert center not in ids
+            assert np.all(dist > 0)
+            assert np.all(np.diff(dist) >= 0)
+            assert ids.shape == dist.shape == (9,)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force_random(self, seed):
@@ -144,10 +116,10 @@ class TestKNearest:
         index = build_index(PointCloud(coords))
         for center in rng.integers(0, n, size=5):
             k = int(rng.integers(1, n))
-            ns = k_nearest(index, int(center), k)
+            got_ids, got_dist = _row(index, int(center), k)
             ids, dist = brute_force_neighbors(coords, int(center), k)
-            assert np.array_equal(ns.ids, ids)
-            assert np.array_equal(ns.distances, dist)
+            assert np.array_equal(got_ids, ids)
+            assert np.array_equal(got_dist, dist)
 
     def test_matches_brute_force_with_ties(self):
         # integer lattice: many exactly equal distances
@@ -157,10 +129,10 @@ class TestKNearest:
         index = build_index(PointCloud(coords))
         for center in (0, 24, 48):
             for k in (1, 4, 8, 20, 48):
-                ns = k_nearest(index, center, k)
+                got_ids, got_dist = _row(index, center, k)
                 ids, dist = brute_force_neighbors(coords, center, k)
-                assert np.array_equal(ns.ids, ids)
-                assert np.array_equal(ns.distances, dist)
+                assert np.array_equal(got_ids, ids)
+                assert np.array_equal(got_dist, dist)
 
     def test_permutation_stability(self):
         cloud = jittered_cloud(2, 9, seed=5)
@@ -171,13 +143,13 @@ class TestKNearest:
         index = build_index(cloud)
         index_p = build_index(permuted)
         for center in (3, 40, 77):
-            ns = k_nearest(index, center, 6)
-            ns_p = k_nearest(index_p, inv[center], 6)
+            ids, dist = _row(index, center, 6)
+            ids_p, dist_p = _row(index_p, inv[center], 6)
             # same geometry: identical distances and the same coordinate
             # set (order within equal distances follows the new labels)
-            assert np.array_equal(ns.distances, ns_p.distances)
-            a = cloud.coords[ns.ids]
-            b = permuted.coords[ns_p.ids]
+            assert np.array_equal(dist, dist_p)
+            a = cloud.coords[ids]
+            b = permuted.coords[ids_p]
             a = a[np.lexsort(a.T)]
             b = b[np.lexsort(b.T)]
             assert np.array_equal(a, b)
@@ -225,9 +197,9 @@ class TestKNearest:
                 assert np.array_equal(ids[p], want_ids[:k]), p
                 assert np.array_equal(dist[p], want_dist[:k]), p
             for p in range(0, cloud.n, 41):
-                ns = k_nearest(index, p, k)
-                assert np.array_equal(ns.ids, want[p][0][:k]), p
-                assert np.array_equal(ns.distances, want[p][1][:k]), p
+                got_ids, got_dist = _row(index, p, k)
+                assert np.array_equal(got_ids, want[p][0][:k]), p
+                assert np.array_equal(got_dist, want[p][1][:k]), p
 
 
 class _QueryLog:
@@ -310,11 +282,19 @@ class TestRectangularQuery:
                 assert max(w for _, w in shapes) <= len(coords)
 
 
+def _spacing_at(cloud, node, **spec):
+    """The mean L1 distance of a node's support, as inspect_node reports it:
+    the kernel width over eps_factor, for the first partial along x."""
+    spec = OperatorSpec((1,) + (0,) * (cloud.dim - 1), **spec)
+    return inspect_node(cloud, build_index(cloud), spec, node).eps / spec.eps_factor
+
+
 class TestAverageSpacing:
-    def test_hand_example_two_neighbors(self):
-        cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-        ns = k_nearest(build_index(cloud), 0, 2)
-        assert average_spacing(cloud, ns) == pytest.approx(1.0)
+    def test_hand_example_is_the_mean_l1_norm(self):
+        # l = 3 at r = 1 and k0 = 3 = n - 1: the support is the other three
+        # nodes, at L1 distances 1, 1 and 2 (Euclidean sqrt 2)
+        cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
+        assert _spacing_at(cloud, 0, r=1) == pytest.approx(4.0 / 3.0)
 
     def test_uniform_cross_equals_spacing(self):
         s = 0.3
@@ -322,19 +302,8 @@ class TestAverageSpacing:
             [[0.0, 0.0], [s, 0.0], [-s, 0.0], [0.0, s], [0.0, -s]]
         )
         cloud = PointCloud(coords)
-        ns = k_nearest(build_index(cloud), 0, 4)
-        assert average_spacing(cloud, ns) == pytest.approx(s)
-
-    def test_empty_neighbor_set_rejected(self):
-        cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        empty = NeighborSet(node=0, ids=[], distances=[])
-        with pytest.raises(ValueError, match="empty neighbor set"):
-            average_spacing(cloud, empty)
-
-    def test_single_neighbor(self):
-        cloud = PointCloud(np.array([[0.0, 0.0], [0.25, -0.5]]))
-        ns = k_nearest(build_index(cloud), 0, 1)
-        assert average_spacing(cloud, ns) == pytest.approx(0.75)
+        assert _spacing_at(cloud, 0, r=1) == pytest.approx(s)
+        assert _spacing_at(cloud, 0, r=1, eps_factor=0.75) == pytest.approx(s)
 
     def test_translation_invariant_bitwise(self):
         # grid of multiples of 0.25: shifting by integers is exact in
@@ -343,26 +312,20 @@ class TestAverageSpacing:
         xg, yg = np.meshgrid(axis, axis, indexing="ij")
         cloud = PointCloud(np.column_stack([xg.ravel(), yg.ravel()]))
         shifted = PointCloud(cloud.coords + np.array([7.0, -3.0]))
-        ns = k_nearest(build_index(cloud), 12, 8)
-        ns_s = k_nearest(build_index(shifted), 12, 8)
-        assert average_spacing(cloud, ns) == average_spacing(shifted, ns_s)
+        assert _spacing_at(cloud, 12) == _spacing_at(shifted, 12)
 
     def test_translation_invariant_jittered(self):
         cloud = jittered_cloud(2, 6, seed=9)
         shifted = PointCloud(cloud.coords + np.array([7.0, -3.0]))
-        ns = k_nearest(build_index(cloud), 14, 8)
-        ns_s = k_nearest(build_index(shifted), 14, 8)
-        assert average_spacing(cloud, ns) == pytest.approx(
-            average_spacing(shifted, ns_s), rel=1e-12
+        assert _spacing_at(cloud, 14) == pytest.approx(
+            _spacing_at(shifted, 14), rel=1e-12
         )
 
     def test_scales_linearly(self):
         cloud = jittered_cloud(3, 4, seed=4)
         scaled = PointCloud(cloud.coords * 2.0)
-        ns = k_nearest(build_index(cloud), 30, 6)
-        ns_s = k_nearest(build_index(scaled), 30, 6)
-        assert average_spacing(scaled, ns_s) == pytest.approx(
-            2.0 * average_spacing(cloud, ns), rel=1e-15
+        assert _spacing_at(scaled, 30) == pytest.approx(
+            2.0 * _spacing_at(cloud, 30), rel=1e-15
         )
 
     @given(
@@ -373,10 +336,8 @@ class TestAverageSpacing:
     def test_translation_and_scaling_property(self, shift, scale):
         cloud = jittered_cloud(2, 5, seed=1)
         moved = PointCloud(cloud.coords * scale + shift)
-        ns = k_nearest(build_index(cloud), 12, 6)
-        ns_m = k_nearest(build_index(moved), 12, 6)
-        h = average_spacing(cloud, ns)
-        h_m = average_spacing(moved, ns_m)
+        h = _spacing_at(cloud, 12)
+        h_m = _spacing_at(moved, 12)
         assert h_m == pytest.approx(scale * h, rel=1e-9)
 
 

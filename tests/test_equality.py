@@ -19,20 +19,17 @@ from dcpse import (
     OperatorSpec,
     PointCloud,
     SymTensorField,
-    assemble_moment_system,
-    average_spacing,
     build_index,
     build_operator,
     get_problem,
-    k_nearest,
+    inspect_node,
     recover,
 )
 from conftest import jittered_cloud
 
 IDENTITY = (
     "SpatialIndex",
-    "NeighborSet",
-    "MomentSystem",
+    "NodeReport",
     "StencilOperator",
     "SymTensorField",
     "RecoveredFields",
@@ -54,15 +51,9 @@ def _index():
     return build_index(_cloud())
 
 
-def _neighbors():
-    return k_nearest(_index(), 12, 8)
-
-
-def _moment_system():
+def _node_report():
     cloud = _cloud()
-    neighbors = k_nearest(build_index(cloud), 12, 8)
-    eps = average_spacing(cloud, neighbors)
-    return assemble_moment_system(cloud, neighbors, OperatorSpec((1, 0)), eps)
+    return inspect_node(cloud, build_index(cloud), OperatorSpec((1, 0)), 12)
 
 
 def _operator():
@@ -91,8 +82,7 @@ def _report():
 MAKERS = {
     "PointCloud": _cloud,
     "SpatialIndex": _index,
-    "NeighborSet": _neighbors,
-    "MomentSystem": _moment_system,
+    "NodeReport": _node_report,
     "StencilOperator": _operator,
     "SymTensorField": lambda: SymTensorField(np.arange(6.0).reshape(2, 3), 2),
     "RecoveredFields": _recovered,
@@ -111,7 +101,7 @@ def test_every_public_dataclass_is_covered():
         if dataclasses.is_dataclass(getattr(dcpse, name))
     }
     assert public == set(MAKERS)
-    assert len(public) == 12
+    assert len(public) == 11
     assert set(IDENTITY) | set(VALUE) | {"PointCloud"} == public
 
 
