@@ -8,9 +8,9 @@ levels and fits slopes.
 
 Input checks live in the library; the CLI checks only that the named field
 or displacement columns exist, and maps exceptions to exit codes: 0 on
-success; 1, printing "numerical failure: ...", on OperatorBuildError; 2,
-printing "error: ...", on ValueError (ParseError and DuplicateNodeError among
-them), FileNotFoundError, IsADirectoryError and PermissionError.
+success; 1, printing "numerical failure: ...", on OperatorBuildError (coincident
+nodes among its causes); 2, printing "error: ...", on ValueError (ParseError
+among them), FileNotFoundError, IsADirectoryError and PermissionError.
 
 Human-oriented diagnostics (support sizes, condition estimates, moment
 residuals) and the one failure line go to stderr; results go to the

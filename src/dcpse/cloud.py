@@ -20,8 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 __all__ = [
-    "DuplicateNodeError", "EmptyCloudError", "PointCloud", "SpatialIndex",
-    "build_index", "normalized_spacing",
+    "EmptyCloudError", "PointCloud", "SpatialIndex", "build_index", "normalized_spacing",
 ]
 
 
@@ -34,18 +33,6 @@ def _integer(name: str, value) -> int:
 
 class EmptyCloudError(ValueError):
     """Raised when a cloud with zero nodes is constructed."""
-
-
-class DuplicateNodeError(ValueError):
-    """Raised when a node coincides exactly with another node of the cloud."""
-
-    def __init__(self, node: int, twin: int):
-        self.node = int(node)
-        self.twin = int(twin)
-        super().__init__(
-            f"node {self.node} coincides exactly with node {self.twin}; "
-            f"derivative stencils are undefined at coincident nodes"
-        )
 
 
 @dataclass(frozen=True, eq=False)

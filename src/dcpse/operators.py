@@ -34,7 +34,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .cloud import (
-    DuplicateNodeError,
     PointCloud,
     SpatialIndex,
     _axis_sum,
@@ -79,6 +78,14 @@ class OperatorBuildError(RuntimeError):
 def _ill_conditioned(node: int, detail: str) -> str:
     """The failure text of a node whose moment system failed a gate."""
     return f"ill-conditioned moment system at node {node}: {detail}"
+
+
+def _coincident(node: int, twin: int) -> str:
+    """The failure text of a node at the same coordinates as another."""
+    return (
+        f"node {node} coincides exactly with node {twin}; "
+        f"derivative stencils are undefined at coincident nodes"
+    )
 
 
 def multi_index_order(alpha) -> int:
@@ -377,9 +384,8 @@ def _solve_block(
     """
     ids, dist = _k_nearest_arrays(index, k, nodes)
     twin = dist[:, 0] <= 0.0
-    final = {
-        int(p): str(DuplicateNodeError(p, q)) for p, q in zip(nodes[twin], ids[twin, 0])
-    }
+    pairs = zip(nodes[twin].tolist(), ids[twin, 0].tolist())
+    final = {p: _coincident(p, q) for p, q in pairs}
     nodes, ids = nodes[~twin], ids[~twin]
     offsets = np.take(cloud.coords, nodes, 0)[:, None] - np.take(cloud.coords, ids, 0)
     eps = spec.eps_factor * _spacing(offsets)
@@ -391,22 +397,27 @@ def _solve_block(
     return (nodes[ok], ids[ok], eps[ok], cond[ok], W[:, ok]), final, retry
 
 
-def _growth_plan(
+def _grow(
     cloud: PointCloud,
     index: SpatialIndex,
     alphas: list[tuple[int, ...]],
     spec: OperatorSpec,
-) -> tuple[np.ndarray, list[int]]:
-    """The checks and growth rule that builds and inspect_node share.
+    pending: np.ndarray,
+):
+    """The growth attempts of the pending nodes, which builds and inspect_node share.
 
-    Returns the right-hand sides (l, len(alphas)) and the support size of each
-    growth attempt: k0 = ceil(neighbor_factor * l), then 1.5 times the last,
-    capped at n - 1, at most _MAX_GROWTH_ATTEMPTS times. A cloud of at most l
-    nodes cannot hold a support of l and raises InsufficientSupportError, and
-    one with u <= |alpha| + r - 1 distinct values on an axis OperatorBuildError
-    at every node: the offsets take u values there, 0 among them, so
-    v prod(v - c) over the others lies in the basis span and vanishes on
-    every support.
+    The first support size is k0 = ceil(neighbor_factor * l), capped at n - 1;
+    each attempt is one batched pass over the pending nodes, in blocks, and the
+    nodes whose support fails a gate are regrown together at 1.5 times the last
+    k, capped at n - 1, at most _MAX_GROWTH_ATTEMPTS times. Returns the blocks
+    that passed (see _solve_block), the failure text of each node that never
+    passed and each attempt's (k, {node: failure text}).
+
+    A cloud of at most l nodes cannot hold a support of l and raises
+    InsufficientSupportError, and one with u <= |alpha| + r - 1 distinct values
+    on an axis OperatorBuildError at every node: the offsets take u values
+    there, 0 among them, so v prod(v - c) over the others lies in the basis
+    span and vanishes on every support.
     """
     if len(alphas[0]) != cloud.dim:
         raise ValueError(
@@ -416,8 +427,7 @@ def _growth_plan(
         raise ValueError("spatial index was built for a different cloud")
     basis = _basis_cached(alphas[0], spec.r)[0]
     rhs = np.column_stack([_rhs(basis, a) for a in alphas])
-    l = len(basis)
-    n = cloud.n
+    l, n = len(basis), cloud.n
     if n - 1 < l:
         raise InsufficientSupportError(
             f"cloud of {n} nodes cannot determine {l} basis moments"
@@ -427,10 +437,23 @@ def _growth_plan(
         if u < need:
             why = f"axis {xyz} has {u} distinct coordinates, the basis needs {need}"
             raise OperatorBuildError({p: _ill_conditioned(p, why) for p in range(n)})
-    sizes = [min(math.ceil(spec.neighbor_factor * l), n - 1)]
-    while len(sizes) <= _MAX_GROWTH_ATTEMPTS and sizes[-1] < n - 1:
-        sizes.append(min(math.ceil(_GROWTH * sizes[-1]), n - 1))
-    return rhs, sizes
+    blocks, failed, attempts = [], {}, []
+    k = min(math.ceil(spec.neighbor_factor * l), n - 1)
+    for _ in range(_MAX_GROWTH_ATTEMPTS + 1):
+        final, retry = {}, {}
+        solve = functools.partial(_solve_block, cloud, index, spec, rhs, k=k)
+        for block, gone, again in _in_chunks(solve, pending, k * l):
+            blocks.append(block)
+            final.update(gone)
+            retry.update(again)
+        failed.update(final)
+        attempts.append((k, {**final, **retry}))
+        pending = np.array(sorted(retry), dtype=np.intp)
+        if not retry or k == n - 1:
+            break
+        k = min(math.ceil(_GROWTH * k), n - 1)
+    failed.update(retry)
+    return blocks, failed, attempts
 
 
 def _build_many(
@@ -442,25 +465,9 @@ def _build_many(
     """Build one operator per multi-index in alphas, sharing supports and
     moment matrices. All alphas must have the same order so the basis and
     moment matrix coincide; only the right-hand sides differ.
-
-    Each attempt of _growth_plan is one batched pass over the pending nodes,
-    in blocks; the nodes whose support fails a gate are regrown together.
     """
-    rhs, sizes = _growth_plan(cloud, index, alphas, spec)
-    n, l = cloud.n, len(rhs)
-    blocks, failed = [], {}
-    pending = np.arange(n)
-    for k in sizes:
-        retry: dict[int, str] = {}
-        solve = functools.partial(_solve_block, cloud, index, spec, rhs, k=k)
-        for block, final, again in _in_chunks(solve, pending, k * l):
-            blocks.append(block)
-            failed.update(final)
-            retry.update(again)
-        pending = np.array(sorted(retry), dtype=np.intp)
-        if not retry:
-            break
-    failed.update(retry)
+    n = cloud.n
+    blocks, failed, _ = _grow(cloud, index, alphas, spec, np.arange(n))
     if failed:
         raise OperatorBuildError(failed)
 
@@ -517,8 +524,8 @@ def build_operator(
     of at most 102,400 stacked entries (k * l per node) run on the CPUs of the
     affinity mask. A node's weights do not depend on its block, so the bits
     depend on neither the cut nor the CPU count, and two builds over the same
-    cloud are bit-identical. inspect_node replays the attempts at one node
-    and gives the same bits.
+    cloud are bit-identical. inspect_node runs the same growth attempts on one
+    node and gives the same bits.
     """
     return _build_many(cloud, index, [spec.alpha], spec)[0]
 
@@ -569,28 +576,23 @@ class NodeReport:
 def inspect_node(
     cloud: PointCloud, index: SpatialIndex, spec: OperatorSpec, node: int
 ) -> NodeReport:
-    """Replay build_operator's growth attempts at one node.
+    """Run build_operator's growth attempts on one node.
 
-    Each attempt runs the build's stages on a batch of one, so the report
-    holds the build's bits and failure texts at this node; a node the build
-    would fail gets None in place of its row. The build's checks come first
-    and raise as it does. IndexError if node is not in [0, n).
+    The build's own attempt loop runs on a batch of one, so the report holds
+    the build's bits and failure texts at this node; a node the build would
+    fail gets None in place of its row. The build's checks come first and
+    raise as it does. IndexError if node is not in [0, n).
     """
     node = _integer("node", node)
     if not 0 <= node < cloud.n:
         raise IndexError(f"node {node} out of range for cloud of {cloud.n} nodes")
-    rhs, sizes = _growth_plan(cloud, index, [spec.alpha], spec)
-    attempts = []
-    for k in sizes:
-        block, final, retry = _solve_block(cloud, index, spec, rhs, np.array([node]), k)
-        attempts.append((k, final.get(node, retry.get(node))))
-        if node not in retry:
-            break
+    blocks, failed, attempts = _grow(cloud, index, [spec.alpha], spec, np.array([node]))
     row = (None,) * 4
-    if attempts[-1][1] is None:
-        _, ids, eps, cond, W = block
+    if not failed:
+        _, ids, eps, cond, W = blocks[-1]
         row = ids[0], float(eps[0]), float(cond[0]), W[0, 0]
-    return NodeReport(node, spec, tuple(attempts), *row)
+    tried = tuple((k, why.get(node)) for k, why in attempts)
+    return NodeReport(node, spec, tried, *row)
 
 
 def _real_field(values) -> np.ndarray:

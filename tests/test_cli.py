@@ -355,6 +355,29 @@ class TestDeterminism:
         assert run(base + ["--output", str(o2)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
+    def test_reports_byte_identical_across_processes(self, tmp_path):
+        # a second process with another hash seed, pinned to one CPU where the
+        # platform can pin, so every operator block runs on its calling thread
+        prelude = (
+            "import os, runpy\n"
+            "if hasattr(os, 'sched_setaffinity'):\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "runpy.run_module('dcpse', run_name='__main__')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        args = ["convergence", "--problem", "franke", "--levels", "1,2,3",
+                "--kind", "jittered", "--seed", "5", "--report"]
+        reports = []
+        for hash_seed, launch in (("0", ["-m", "dcpse"]), ("1", ["-c", prelude])):
+            reports.append(tmp_path / f"hash{hash_seed}.json")
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            done = subprocess.run(
+                [sys.executable, *launch, *args, str(reports[-1])],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
 
 class TestModuleEntryPoint:
     """`python -m dcpse` runs the CLI and exits with its code."""

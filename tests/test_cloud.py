@@ -92,7 +92,7 @@ class TestKNearest:
             _k_nearest_arrays(index, k, [0])
 
     def test_duplicate_node_has_a_zero_first_distance(self):
-        # the operator build turns it into DuplicateNodeError(2, 0)
+        # the operator build fails node 2 as coincident with node 0
         coords = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
         ids, dist = _row(build_index(PointCloud(coords)), 2, 2)
         assert ids.tolist() == [0, 1] and dist[0] == 0.0

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpse import (
-    DuplicateNodeError,
     InsufficientSupportError,
     OperatorBuildError,
     OperatorSpec,
@@ -346,7 +345,10 @@ class TestInspectNode:
         cloud = jittered_cloud(2, 8, seed=4)
         twin = PointCloud(np.vstack([cloud.coords, cloud.coords[20]]))
         report = inspect_node(twin, build_index(twin), OperatorSpec(alpha=(1, 0)), 64)
-        assert report.attempts == ((12, str(DuplicateNodeError(64, 20))),)
+        assert report.attempts == (
+            (12, "node 64 coincides exactly with node 20; "
+             "derivative stencils are undefined at coincident nodes"),
+        )
         assert report.weights is None
 
     def test_attempts_the_build_hides(self):
@@ -502,6 +504,21 @@ class TestBuildOperator:
         assert len(err.value.failed_nodes) == cloud.n
         assert "node" in str(err.value)
 
+    def test_message_names_ten_nodes_then_the_total(self):
+        # a nearly 1-d cloud (y spans 1e-6) fails at every node; the message
+        # names the first ten, the total and the first failure's text
+        rng = np.random.default_rng(0)
+        cloud = PointCloud(rng.uniform(size=(500, 2)) * [1.0, 1e-6])
+        with pytest.raises(OperatorBuildError) as err:
+            build_operator(cloud, build_index(cloud), OperatorSpec(alpha=(1, 0)))
+        failed = err.value.failed_nodes
+        assert list(failed) == list(range(cloud.n))
+        assert failed[0].startswith("ill-conditioned moment system at node 0: ")
+        assert str(err.value) == (
+            "operator construction failed at node(s) 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, "
+            f"... (500 total); first failure: {failed[0]}"
+        )
+
     @pytest.mark.parametrize(
         "shape,alpha,r,why",
         [
@@ -545,8 +562,10 @@ class TestBuildOperator:
         with pytest.raises(OperatorBuildError) as err:
             build_operator(twin, build_index(twin), OperatorSpec(alpha=(1, 0)))
         assert err.value.failed_nodes == {
-            20: str(DuplicateNodeError(20, 64)),
-            64: str(DuplicateNodeError(64, 20)),
+            20: "node 20 coincides exactly with node 64; "
+            "derivative stencils are undefined at coincident nodes",
+            64: "node 64 coincides exactly with node 20; "
+            "derivative stencils are undefined at coincident nodes",
         }
 
     @pytest.mark.parametrize(
