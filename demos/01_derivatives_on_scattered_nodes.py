@@ -46,7 +46,7 @@ def main():
 
     # health checks: moment residuals should sit at round-off, condition
     # estimates far below the build gate of 1e12
-    resid = verify_moments(op_yy, cloud)
+    resid = verify_moments(op_yy)
     print(f"moment residuals: max {np.max(resid):.2e}")
     print(
         f"condition estimates: median {np.median(op_yy.condition):.1e}, "

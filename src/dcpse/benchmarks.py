@@ -367,9 +367,7 @@ def operator_diagnostics(ops: tuple[StencilOperator, ...]) -> dict[str, float]:
     """Largest condition estimate, moment residual and support size of ops."""
     return {
         "max_condition": max(float(np.max(op.condition)) for op in ops),
-        "max_moment_residual": max(
-            float(np.max(verify_moments(op, op.cloud))) for op in ops
-        ),
+        "max_moment_residual": max(float(np.max(verify_moments(op))) for op in ops),
         "max_support": max(int(np.max(op.support_size)) for op in ops),
     }
 

@@ -69,29 +69,26 @@ _SLOTS = {
 }
 _COMPONENTS = {d: tuple("xyz"[i] + "xyz"[j] for i, j in s) for d, s in _SLOTS.items()}
 _DIAGONAL = {d: [k for k, (i, j) in enumerate(s) if i == j] for d, s in _SLOTS.items()}
+_DIMS = {len(s): d for d, s in _SLOTS.items()}  # packed width -> dim
 
 
 @dataclass(frozen=True, eq=False)
 class SymTensorField:
     """Symmetric rank-2 tensor per node, upper triangle packed by rows.
 
+    `data` is (n, 1), (n, 3) or (n, 6): its width fixes `dim` at 1, 2 or 3.
     Component order is xx, xy, yy in 2-d and xx, xy, xz, yy, yz, zz in 3-d.
     """
 
     data: np.ndarray
-    dim: int
+    dim: int = field(init=False)
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if self.dim not in _COMPONENTS:
-            raise ValueError(f"dimension must be 1, 2, or 3, got {self.dim}")
-        width = len(_COMPONENTS[self.dim])
-        if data.ndim != 2 or data.shape[1] != width:
-            raise ValueError(
-                f"expected shape (n, {width}) for dim {self.dim}, "
-                f"got {data.shape}"
-            )
+        if data.ndim != 2 or data.shape[1] not in _DIMS:
+            raise ValueError(f"expected shape (n, 1), (n, 3) or (n, 6), got {data.shape}")
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "dim", _DIMS[data.shape[1]])
 
     @property
     def n(self) -> int:
@@ -124,7 +121,7 @@ class SymTensorField:
         if d not in _SLOTS:
             raise ValueError(f"dimension must be 1, 2, or 3, got {d}")
         data = np.column_stack([mats[:, i, j] for i, j in _SLOTS[d]])
-        return cls(data=data, dim=d)
+        return cls(data)
 
     def trace(self) -> np.ndarray:
         out = self.data[:, 0] + 0.0  # np.sum starts at +0.0: a -0.0 diagonal sums to +0.0
@@ -174,12 +171,12 @@ def strain_from_gradient(gradient: np.ndarray) -> SymTensorField:
     g = np.asarray(gradient, dtype=np.float64)
     if g.ndim != 3 or g.shape[1] != g.shape[2]:
         raise ValueError(f"expected shape (n, d, d), got {g.shape}")
-    slots = _SLOTS.get(g.shape[1], ())  # any other d: SymTensorField names it
+    slots = _SLOTS.get(g.shape[1], ())  # any other d: SymTensorField rejects width 0
     data = np.empty((g.shape[0], len(slots)))
     for k, (i, j) in enumerate(slots):
         np.add(g[:, i, j], g[:, j, i], out=data[:, k])
     data *= 0.5
-    return SymTensorField(data=data, dim=g.shape[1])
+    return SymTensorField(data)
 
 
 def stress_from_strain(strain: SymTensorField, material: ElasticMaterial) -> SymTensorField:
@@ -188,7 +185,7 @@ def stress_from_strain(strain: SymTensorField, material: ElasticMaterial) -> Sym
     lam_tr = material.lam * strain.trace()
     for slot in _DIAGONAL[strain.dim]:
         data[:, slot] += lam_tr
-    return SymTensorField(data=data, dim=strain.dim)
+    return SymTensorField(data)
 
 
 def plane_strain_embed(stress: SymTensorField, poisson: float) -> SymTensorField:
@@ -203,7 +200,7 @@ def plane_strain_embed(stress: SymTensorField, poisson: float) -> SymTensorField
     s, data = stress.data, np.zeros((stress.n, 6))
     data[:, 0], data[:, 1], data[:, 3] = s.T  # xx, xy, yy
     np.multiply(s[:, 0] + s[:, 2], poisson, out=data[:, 5])
-    return SymTensorField(data=data, dim=3)
+    return SymTensorField(data)
 
 
 def _mean_stress(stress: SymTensorField) -> np.ndarray:
@@ -223,7 +220,7 @@ def deviatoric(stress: SymTensorField) -> SymTensorField:
     data = stress.data.copy()
     for slot in _DIAGONAL[3]:
         data[:, slot] -= mean
-    return SymTensorField(data=data, dim=3)
+    return SymTensorField(data)
 
 
 def von_mises(stress: SymTensorField) -> np.ndarray:

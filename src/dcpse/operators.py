@@ -295,8 +295,8 @@ def _solve(V, E, A, eps, rhs: np.ndarray, order: int):
 @dataclass(frozen=True, eq=False)
 class StencilOperator(_Derivative):
     """A derivative operator assembled over every node of `cloud`, which it
-    holds by reference and reads `n` and `dim` from. verify_moments and the
-    elasticity recovery accept only a cloud == it (equal coordinates).
+    holds by reference and reads `n` and `dim` from; verify_moments checks
+    the stencils on it. The elasticity recovery accepts only a cloud == it.
 
     The CSR matrix is the only store of the stencils: row p holds the
     weights w_q of node p's neighbors and, last, the center coupling
@@ -545,7 +545,7 @@ def gradient_operator(
     right-hand sides differ. The result equals d independent build_operator
     calls, and like them runs its blocks on the CPUs of the affinity mask with
     bits that do not depend on that count. `threads` is checked to be positive
-    and otherwise unused; ROADMAP item 1 removes it.
+    and otherwise ignored.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"thread count must be positive, got {threads}")
@@ -616,7 +616,7 @@ def apply(op: StencilOperator, values: np.ndarray) -> np.ndarray:
     return op._matrix @ values
 
 
-def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
+def verify_moments(op: StencilOperator) -> np.ndarray:
     """Recompute the discrete moments of every stencil from its final weights.
 
     Returns the per-node maximum absolute deviation of
@@ -624,23 +624,21 @@ def verify_moments(op: StencilOperator, cloud: PointCloud) -> np.ndarray:
     (-1)^{|alpha|} alpha! at beta = alpha and 0 for the other basis
     monomials (the constant moment participates only for odd |alpha|, the
     only case where it is in the basis). The build's gate is this same
-    computation, which accepts at most 1e-10 (1 + alpha!). `cloud` must ==
-    the cloud the operator was built on (ValueError otherwise). The nodes of
-    each support size k run in blocks as the build's do (k * l entries per
-    node), on the CPUs of the affinity mask; the result depends on neither
-    cut nor count.
+    computation, which accepts at most 1e-10 (1 + alpha!), on the operator's
+    own cloud. The nodes of each support size k run in blocks as the build's
+    do (k * l entries per node), on the CPUs of the affinity mask; the result
+    depends on neither cut nor count.
     """
-    if op.cloud != cloud:
-        raise ValueError("operator was built for a different cloud")
     basis, chain = _basis_cached(op.alpha, op.r)
     target = _rhs(basis, op.alpha)
     ids, w, ptr = op._matrix.indices, op._matrix.data, op._matrix.indptr
+    coords = op.cloud.coords
     starts, counts = ptr[:-1], np.diff(ptr) - 1  # rows without the center entry
     # one support size per chunk: each node's moments are its single-node product
     def check(nodes):
         at = starts[nodes, None] + np.arange(counts[nodes[0]])  # stencil entries
         eps = op.eps[nodes]
-        v = np.take(cloud.coords, nodes, 0)[:, None] - np.take(cloud.coords, ids[at], 0)
+        v = np.take(coords, nodes, 0)[:, None] - np.take(coords, ids[at], 0)
         V = _basis_matrix(v / eps[:, None, None], chain)
         return nodes, _moment_deviation(V, w[at], eps, op.order, target)
 

@@ -130,7 +130,7 @@ def test_criterion_2_moment_residuals():
             cloud = generate_nodes(problem, level, "structured", 0)
             index = build_index(cloud)
             for op in gradient_operator(cloud, index, 2):
-                resid = float(np.max(verify_moments(op, cloud)))
+                resid = float(np.max(verify_moments(op)))
                 if resid > worst:
                     worst = resid
                     worst_at = f"{name} level {level}"
@@ -245,7 +245,7 @@ def test_criterion_5_cantilever():
 def test_criterion_6_elasticity_identities():
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
-    stress = SymTensorField(rng.normal(scale=1e6, size=(200, 6)), dim=3)
+    stress = SymTensorField(rng.normal(scale=1e6, size=(200, 6)))
     dev = deviatoric(stress)
     trace_ok = float(np.max(np.abs(dev.trace()))) <= 1e-12 * float(
         np.max(np.abs(stress.data))
@@ -255,11 +255,11 @@ def test_criterion_6_elasticity_identities():
     for slot in (0, 3, 5):
         shift[:, slot] += 12345.0
     vm_ok = np.allclose(
-        von_mises(stress), von_mises(SymTensorField(shift, dim=3)), rtol=1e-9
+        von_mises(stress), von_mises(SymTensorField(shift)), rtol=1e-9
     )
 
     nu = 0.3
-    s2 = SymTensorField(rng.normal(scale=1e6, size=(50, 3)), dim=2)
+    s2 = SymTensorField(rng.normal(scale=1e6, size=(50, 3)))
     s3 = plane_strain_embed(s2, nu)
     zz_ok = np.allclose(
         s3.component("zz"), nu * (s2.component("xx") + s2.component("yy")),

@@ -11,6 +11,7 @@ from dcpse import (
     CantileverParams,
     ConvergenceReport,
     ElasticMaterial,
+    build_index,
     cantilever_displacement,
     cantilever_stress,
     convergence_study,
@@ -20,10 +21,12 @@ from dcpse import (
     franke_grad,
     generate_nodes,
     get_problem,
+    gradient_operator,
     kirsch_displacement,
     kirsch_stress,
     linf,
     nrmse,
+    verify_moments,
 )
 
 STEEL = ElasticMaterial(young=200e9, poisson=0.3)
@@ -529,6 +532,22 @@ class TestConvergenceStudy:
         entry = evaluate_level("franke", 1, kind="structured", r=2)
         report = convergence_study("franke", [0, 1, 2], kind="structured", r=2)
         assert entry == report.levels[1]
+
+    @pytest.mark.parametrize(
+        "problem, level, kind",
+        [("franke", 2, "jittered"), ("plate", 1, "jittered"), ("cantilever", 1, "structured")],
+    )
+    def test_operator_diagnostics_of_a_fresh_build(self, problem, level, kind):
+        # the report's three diagnostics are the maxima over the gradient
+        # operators of the level's cloud, cantilever's regrown nodes included
+        entry = evaluate_level(problem, level, kind=kind, seed=3)
+        cloud = generate_nodes(problem, level, kind, seed=3)
+        ops = gradient_operator(cloud, build_index(cloud))
+        assert entry["max_moment_residual"] == max(float(np.max(verify_moments(op))) for op in ops)
+        assert entry["max_condition"] == max(float(np.max(op.condition)) for op in ops)
+        assert entry["max_support"] == max(int(np.max(op.support_size)) for op in ops)
+        if problem == "cantilever":
+            assert entry["max_support"] == 30
 
     def test_deterministic(self):
         a = convergence_study("franke", [0, 1, 2], kind="jittered", seed=9)

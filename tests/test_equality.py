@@ -84,7 +84,7 @@ MAKERS = {
     "SpatialIndex": _index,
     "NodeReport": _node_report,
     "StencilOperator": _operator,
-    "SymTensorField": lambda: SymTensorField(np.arange(6.0).reshape(2, 3), 2),
+    "SymTensorField": lambda: SymTensorField(np.arange(6.0).reshape(2, 3)),
     "RecoveredFields": _recovered,
     "OperatorSpec": lambda: OperatorSpec((1, 0)),
     "ElasticMaterial": lambda: ElasticMaterial(200e9, 0.3),

@@ -155,7 +155,7 @@ class TestCsvWrite:
 
     def test_tensor_field_expands_in_component_order(self, tmp_path):
         cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        s = SymTensorField(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), dim=2)
+        s = SymTensorField(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
         vm = np.array([7.0, 8.0])
         path = tmp_path / "out.csv"
         write_field_csv(path, cloud, {"s": s, "vm": vm})
@@ -169,7 +169,7 @@ class TestCsvWrite:
 
     def test_tensor_row_count_mismatch_rejected(self, tmp_path):
         cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        tensor = SymTensorField(np.zeros((3, 3)), dim=2)
+        tensor = SymTensorField(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="has 3 rows, cloud has 2"):
             write_field_csv(tmp_path / "out.csv", cloud, {"s": tensor})
 
@@ -181,7 +181,7 @@ class TestCsvWrite:
         tensor[1, 1] = bad
         cases = [
             ({"f": np.array([1.0, bad])}, "'f'"),
-            ({"f": np.ones(2), "s": SymTensorField(tensor, dim=2)}, "'sxy'"),
+            ({"f": np.ones(2), "s": SymTensorField(tensor)}, "'sxy'"),
         ]
         for fields, column in cases:
             path = tmp_path / "out.csv"
@@ -224,7 +224,7 @@ class TestCsvWrite:
         fields = {
             "s": values[::-1],
             "v": np.column_stack([values, values * 3.0]),
-            "t": SymTensorField(np.column_stack([values * c for c in (1, -1, 7)]), 2),
+            "t": SymTensorField(np.column_stack([values * c for c in (1, -1, 7)])),
         }
         path = tmp_path / "out.csv"
         write_field_csv(path, cloud, fields)

@@ -454,7 +454,7 @@ class TestBuildOperator:
         cloud, index = indexed2d
         for alpha in [(1, 0), (0, 1), (2, 0), (1, 1)]:
             op = build_operator(cloud, index, OperatorSpec(alpha=alpha))
-            assert float(np.max(verify_moments(op, cloud))) < 1e-10
+            assert float(np.max(verify_moments(op))) < 1e-10
 
     def test_diagnostics_shapes(self, indexed2d):
         cloud, index = indexed2d
@@ -554,7 +554,7 @@ class TestBuildOperator:
         # u = |alpha| + r distinct values on an axis: 10 x 4 nodes at r = 3
         cloud = PointCloud(lattice(10, 4))
         op = build_operator(cloud, build_index(cloud), OperatorSpec(alpha=(1, 0), r=3))
-        assert float(np.max(verify_moments(op, cloud))) <= 1e-8
+        assert float(np.max(verify_moments(op))) <= 1e-8
 
     def test_duplicate_node_fails_with_its_own_message(self):
         cloud = jittered_cloud(2, 8, seed=4)
@@ -684,7 +684,7 @@ class TestGradientOperator:
             coords = np.column_stack([u[:, 0] ** 4, u[:, 1]])
         cloud = PointCloud(coords)
         for op in gradient_operator(cloud, build_index(cloud)):
-            assert np.max(verify_moments(op, cloud)) <= 1e-8
+            assert np.max(verify_moments(op)) <= 1e-8
 
     def test_non_positive_thread_count_rejected(self, indexed2d):
         cloud, index = indexed2d
@@ -785,19 +785,19 @@ class TestVerifyMoments:
                     assert re.search(rf"\bnode {p}\b", message), message
                 continue
             bound = 1e-10 * (1.0 + math.prod(math.factorial(a) for a in spec.alpha))
-            assert float(np.max(verify_moments(op, cloud))) <= bound, spec
+            assert float(np.max(verify_moments(op))) <= bound, spec
 
     def test_matches_per_node_loop(self, cantilever):
         cloud, ops = cantilever
         for op in ops:
-            got = verify_moments(op, cloud)
+            got = verify_moments(op)
             want = _moment_deviation_per_node(op, cloud)
             assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_perturbed_weight_shows_at_its_node_only(self, cantilever):
         cloud, ops = cantilever
         op = ops[2]
-        base = verify_moments(op, cloud)
+        base = verify_moments(op)
         # nodes on both sides of every change of row length in the first rows
         edges = np.flatnonzero(np.diff(op.support_size))[:4]
         for node in np.union1d(edges, edges + 1):
@@ -808,7 +808,7 @@ class TestVerifyMoments:
                 matrix = op._matrix.copy()
                 matrix.data[matrix.indptr[node] + entry] *= 1.0 + 1e-6
                 perturbed = dataclasses.replace(op, _matrix=matrix)
-                got = verify_moments(perturbed, cloud)
+                got = verify_moments(perturbed)
                 assert np.flatnonzero(got != base).tolist() == [node]
                 assert got[node] > base[node] + 1e-10
 
@@ -919,7 +919,7 @@ class TestBatchedEngine:
                 assert re.search(rf"\bnode {p}\b", message), message
         else:
             for op in ops:
-                assert float(np.max(verify_moments(op, cloud))) <= 1e-8
+                assert float(np.max(verify_moments(op))) <= 1e-8
 
 
 def _build_on(workers, cloud, index, monkeypatch):
@@ -935,7 +935,7 @@ def _build_on(workers, cloud, index, monkeypatch):
         patch.setattr(operators, "_workers", lambda: workers)
         patch.setattr(operators, "_solve_block", solve_block)
         ops = gradient_operator(cloud, index)
-        return ops, [verify_moments(op, cloud) for op in ops], solvers
+        return ops, [verify_moments(op) for op in ops], solvers
 
 
 def _assert_same_bits(want, got):
@@ -1092,13 +1092,6 @@ class TestApply:
             with pytest.raises(ValueError, match="field contains non-finite values"):
                 apply(op, np.full(cloud.n, np.inf))
 
-    def test_wrong_cloud_for_verify(self, indexed2d):
-        cloud, index = indexed2d
-        op = build_operator(cloud, index, OperatorSpec(alpha=(1, 0)))
-        other = jittered_cloud(2, 4, seed=1)
-        with pytest.raises(ValueError, match="different cloud"):
-            verify_moments(op, other)
-
 
 class TestProperties:
     @given(
@@ -1110,7 +1103,7 @@ class TestProperties:
         cloud = jittered_cloud(2, 9, seed=seed)
         index = build_index(cloud)
         op = build_operator(cloud, index, OperatorSpec(alpha=alpha))
-        assert float(np.max(verify_moments(op, cloud))) < 1e-8
+        assert float(np.max(verify_moments(op))) < 1e-8
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=10, deadline=None)
@@ -1156,4 +1149,4 @@ class TestProperties:
             assert n > l
         else:
             assert n > l
-            assert float(np.max(verify_moments(op, cloud))) <= 1e-8
+            assert float(np.max(verify_moments(op))) <= 1e-8

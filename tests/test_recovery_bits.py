@@ -35,12 +35,12 @@ def reference_recover(ops, u, material):
     lam_tr = material.lam * strain.trace()
     for slot in _DIAGONAL[d]:
         data[:, slot] += lam_tr
-    stress = SymTensorField(data, dim=d)
+    stress = SymTensorField(data)
     if d == 2:
         sxx, sxy, syy = stress.data.T
         zeros = np.zeros_like(sxx)
         szz = material.poisson * (sxx + syy)
-        stress3 = SymTensorField(np.column_stack([sxx, sxy, zeros, syy, zeros, szz]), dim=3)
+        stress3 = SymTensorField(np.column_stack([sxx, sxy, zeros, syy, zeros, szz]))
     else:
         stress3 = stress
     s = deviatoric(stress3).data
