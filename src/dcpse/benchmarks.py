@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cloud import PointCloud, SpatialIndex, _integer, build_index, normalized_spacing
+from .cloud import PointCloud, _integer, build_index, normalized_spacing
 from .elasticity import ElasticMaterial, lame_from_young_poisson, recover
 from .operators import (
     OperatorSpec,
@@ -191,9 +191,7 @@ class CantileverParams:
 
 def _section_series(x, y, p: CantileverParams, power: int, trig: Callable, hyp: Callable):
     """Accumulate sum_n (-1)^n / n^power trig(n pi x / a) hyp(n pi y / a)
-    / cosh(n pi b / a) over n = 1 ... max_terms."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    / cosh(n pi b / a) over n = 1 ... max_terms, for float64 arrays x and y."""
     acc = np.zeros(np.broadcast(x, y).shape)
     for n in range(1, p.max_terms + 1):
         w = n * math.pi / p.a

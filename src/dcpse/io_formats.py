@@ -36,10 +36,12 @@ class ParseError(ValueError):
     """Malformed input file; carries the path and 1-based line number."""
 
     def __init__(self, path, line: int | None, detail: str):
-        self.path = str(path)
-        self.line = line
+        self.path, self.line, self.detail = str(path), line, detail
         where = f"{self.path}:{line}" if line is not None else self.path
         super().__init__(f"{where}: {detail}")
+
+    def __reduce__(self):  # pickle and copy rebuild from the constructor's arguments
+        return type(self), (self.path, self.line, self.detail), self.__dict__
 
 
 class UnsupportedFormatError(ValueError):

@@ -74,6 +74,9 @@ class OperatorBuildError(RuntimeError):
             f"first failure: {next(iter(self.failed_nodes.values()))}"
         )
 
+    def __reduce__(self):  # pickle and copy rebuild from the constructor's argument
+        return type(self), (self.failed_nodes,), self.__dict__
+
 
 def _ill_conditioned(node: int, detail: str) -> str:
     """The failure text of a node whose moment system failed a gate."""
@@ -86,11 +89,6 @@ def _coincident(node: int, twin: int) -> str:
         f"node {node} coincides exactly with node {twin}; "
         f"derivative stencils are undefined at coincident nodes"
     )
-
-
-def multi_index_order(alpha) -> int:
-    """Total order |alpha| of a derivative multi-index."""
-    return int(sum(alpha))
 
 
 def _validate_alpha(alpha) -> tuple[int, ...]:
@@ -114,7 +112,8 @@ class _Derivative:
 
     @property
     def order(self) -> int:
-        return multi_index_order(self.alpha)
+        """Total order |alpha| of the multi-index."""
+        return sum(self.alpha)
 
     @property
     def sign(self) -> int:
@@ -149,9 +148,9 @@ class OperatorSpec(_Derivative):
         object.__setattr__(self, "alpha", _validate_alpha(self.alpha))
         if _integer("approximation order r", self.r) < 1:
             raise ValueError(f"approximation order r must be >= 1, got {self.r}")
-        if multi_index_order(self.alpha) + self.r - 1 > _MAX_BASIS_DEGREE:
+        if self.order + self.r - 1 > _MAX_BASIS_DEGREE:
             raise ValueError(
-                f"|alpha| + r - 1 = {multi_index_order(self.alpha) + self.r - 1} "
+                f"|alpha| + r - 1 = {self.order + self.r - 1} "
                 f"exceeds the supported maximum degree {_MAX_BASIS_DEGREE}"
             )
         if not 0 < self.eps_factor < math.inf:
@@ -176,7 +175,7 @@ def monomial_basis(alpha, r: int) -> list[tuple[int, ...]]:
     alpha = _validate_alpha(alpha)
     if _integer("approximation order r", r) < 1:
         raise ValueError(f"approximation order r must be >= 1, got {r}")
-    order = multi_index_order(alpha)
+    order = sum(alpha)
     lo = 0 if order % 2 == 1 else 1
     return [
         beta
@@ -188,15 +187,20 @@ def monomial_basis(alpha, r: int) -> list[tuple[int, ...]]:
 
 @functools.lru_cache(maxsize=256)
 def _basis_cached(alpha: tuple[int, ...], r: int):
-    """monomial_basis and its product chain (parent, axis), memoized per (alpha, r):
-    the parent lowers the last non-zero exponent by one; -1 means none."""
+    """monomial_basis, its product chain (parent, axis) and the right-hand side
+    b, memoized per (alpha, r): the parent lowers the last non-zero exponent by
+    one (-1 means none), and b, read-only as the cache shares it, is zero but
+    for (-1)^{|alpha|} alpha! at beta = alpha."""
     basis = tuple(monomial_basis(alpha, r))
     chain = []
     for beta in basis:
         axis = max((i for i, b in enumerate(beta) if b), default=-1)
         lower = tuple(b - (i == axis) for i, b in enumerate(beta))
         chain.append((basis.index(lower) if sum(lower) else -1, axis))
-    return basis, tuple(chain)
+    b = np.zeros(len(basis))
+    b[basis.index(alpha)] = (-1) ** sum(alpha) * math.prod(map(math.factorial, alpha))
+    b.flags.writeable = False
+    return basis, tuple(chain), b
 
 
 def _basis_matrix(scaled: np.ndarray, chain) -> np.ndarray:
@@ -209,13 +213,6 @@ def _basis_matrix(scaled: np.ndarray, chain) -> np.ndarray:
         else:
             V[..., j] = scaled[..., axis] if axis >= 0 else 1.0
     return V
-
-
-def _rhs(basis: tuple[tuple[int, ...], ...], alpha: tuple[int, ...]) -> np.ndarray:
-    b = np.zeros(len(basis))
-    sign = -1.0 if multi_index_order(alpha) % 2 == 1 else 1.0
-    b[basis.index(alpha)] = sign * math.prod(math.factorial(a) for a in alpha)
-    return b
 
 
 # The stages below are the only numeric path: the builder runs them on blocks
@@ -263,8 +260,8 @@ def _solve(V, E, A, eps, rhs: np.ndarray, order: int):
     |A| |A^-1| (the bits of np.linalg.cond(A, 1)) is finite and at most
     _COND_THRESHOLD = 1e12, and _moment_deviation of each column's weights
     is at most 1e-10 (1 + |b|). Returns the condition estimates (m,), the
-    coefficients (c, m, l, 1), the weights and the failure detail of each
-    failed row, whose numbers are meaningless.
+    weights and the failure detail of each failed row, whose numbers are
+    meaningless.
     """
     m, l, _ = A.shape
     try:
@@ -278,7 +275,7 @@ def _solve(V, E, A, eps, rhs: np.ndarray, order: int):
         cond = _norm1(A) * _norm1(inv)
         # one right-hand side at a time, shaped (m, l, 1), so a shared
         # multi-target build is bit-identical to single-target builds
-        coeffs = np.stack([inv @ np.broadcast_to(b[:, None], (m, l, 1)) for b in rhs.T])
+        coeffs = (inv @ np.broadcast_to(b[:, None], (m, l, 1)) for b in rhs.T)
         W = np.stack([_fold(V, E, eps, a, order) for a in coeffs])
         miss = [_moment_deviation(V, w, eps, order, b) for w, b in zip(W, rhs.T)]
     why = {}
@@ -289,7 +286,7 @@ def _solve(V, E, A, eps, rhs: np.ndarray, order: int):
         bound = _RESIDUAL_TOL * (1.0 + math.sqrt(float(b @ b)))
         for i in np.flatnonzero(~(dev <= bound)).tolist():
             why.setdefault(i, f"moment residual {dev[i]:.3e} exceeds {bound:.3e}")
-    return cond, coeffs, W, why
+    return cond, W, why
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,11 +299,11 @@ class StencilOperator(_Derivative):
     weights w_q of node p's neighbors and, last, the center coupling
     sign * sum_q w_q, so applying the operator evaluates
     sum_q w_q (f_q + sign * f_p). `neighbor_ids` and `weights` are
-    read-only per-node views of those rows without the center entry, made
-    on first access.
-    Diagnostics from construction (kernel width, support size, condition
-    estimate) are kept per node, in read-only arrays that the components of
-    one gradient build share.
+    per-node views of those rows without the center entry, made on first
+    access. Diagnostics from construction (kernel width, support size,
+    condition estimate) are kept per node, in arrays that the components of
+    one gradient build share. Construction, dataclasses.replace's too, makes
+    the diagnostics and the CSR arrays read-only in place.
     """
 
     alpha: tuple[int, ...]
@@ -318,8 +315,8 @@ class StencilOperator(_Derivative):
     _matrix: csr_matrix = field(repr=False)
 
     def __post_init__(self):
-        m = self._matrix
-        for arr in (m.data, m.indices, m.indptr):
+        m, diagnostics = self._matrix, (self.eps, self.support_size, self.condition)
+        for arr in (m.data, m.indices, m.indptr, *diagnostics):
             arr.flags.writeable = False
 
     @property
@@ -367,14 +364,9 @@ def _in_chunks(fn, nodes: np.ndarray, width: int) -> list:
 
 
 def _solve_block(
-    cloud: PointCloud,
-    index: SpatialIndex,
-    spec: OperatorSpec,
-    rhs: np.ndarray,
-    nodes: np.ndarray,
-    k: int,
+    index: SpatialIndex, spec: OperatorSpec, rhs: np.ndarray, nodes: np.ndarray, k: int
 ):
-    """One growth attempt at support size k over a block of nodes.
+    """One growth attempt at support size k over a block of the index's nodes.
 
     Runs kNN and the spacing, then assembly and the solve (with its weight
     fold and gates), each as one stacked pass over the block. Returns the
@@ -387,10 +379,11 @@ def _solve_block(
     pairs = zip(nodes[twin].tolist(), ids[twin, 0].tolist())
     final = {p: _coincident(p, q) for p, q in pairs}
     nodes, ids = nodes[~twin], ids[~twin]
-    offsets = np.take(cloud.coords, nodes, 0)[:, None] - np.take(cloud.coords, ids, 0)
+    coords = index.cloud.coords
+    offsets = np.take(coords, nodes, 0)[:, None] - np.take(coords, ids, 0)
     eps = spec.eps_factor * _spacing(offsets)
     V, E, A = _assemble(offsets, eps, _basis_cached(spec.alpha, spec.r)[1])
-    cond, _, W, why = _solve(V, E, A, eps, rhs, spec.order)
+    cond, W, why = _solve(V, E, A, eps, rhs, spec.order)
     rows = nodes.tolist()
     retry = {rows[i]: _ill_conditioned(rows[i], w) for i, w in why.items()}
     ok = np.isin(np.arange(nodes.size), list(why), invert=True)
@@ -419,15 +412,14 @@ def _grow(
     there, 0 among them, so v prod(v - c) over the others lies in the basis
     span and vanishes on every support.
     """
-    if len(alphas[0]) != cloud.dim:
+    if len(spec.alpha) != cloud.dim:
         raise ValueError(
-            f"multi-index {alphas[0]} does not match cloud dimension {cloud.dim}"
+            f"multi-index {spec.alpha} does not match cloud dimension {cloud.dim}"
         )
     if index.cloud != cloud:
         raise ValueError("spatial index was built for a different cloud")
-    basis = _basis_cached(alphas[0], spec.r)[0]
-    rhs = np.column_stack([_rhs(basis, a) for a in alphas])
-    l, n = len(basis), cloud.n
+    rhs = np.column_stack([_basis_cached(a, spec.r)[2] for a in alphas])
+    l, n = rhs.shape[0], cloud.n
     if n - 1 < l:
         raise InsufficientSupportError(
             f"cloud of {n} nodes cannot determine {l} basis moments"
@@ -441,7 +433,7 @@ def _grow(
     k = min(math.ceil(spec.neighbor_factor * l), n - 1)
     for _ in range(_MAX_GROWTH_ATTEMPTS + 1):
         final, retry = {}, {}
-        solve = functools.partial(_solve_block, cloud, index, spec, rhs, k=k)
+        solve = functools.partial(_solve_block, index, spec, rhs, k=k)
         for block, gone, again in _in_chunks(solve, pending, k * l):
             blocks.append(block)
             final.update(gone)
@@ -474,8 +466,6 @@ def _build_many(
     eps, size, cond = np.empty(n), np.empty(n, dtype=np.intp), np.empty(n)
     for nodes, ids, e, c, _ in blocks:
         eps[nodes], size[nodes], cond[nodes] = e, ids.shape[1], c
-    for arr in (eps, size, cond):
-        arr.flags.writeable = False  # shared by every operator built here
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(size + 1, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.intp)
@@ -629,8 +619,7 @@ def verify_moments(op: StencilOperator) -> np.ndarray:
     do (k * l entries per node), on the CPUs of the affinity mask; the result
     depends on neither cut nor count.
     """
-    basis, chain = _basis_cached(op.alpha, op.r)
-    target = _rhs(basis, op.alpha)
+    basis, chain, target = _basis_cached(op.alpha, op.r)
     ids, w, ptr = op._matrix.indices, op._matrix.data, op._matrix.indptr
     coords = op.cloud.coords
     starts, counts = ptr[:-1], np.diff(ptr) - 1  # rows without the center entry

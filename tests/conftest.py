@@ -44,6 +44,17 @@ def clustered_cloud() -> PointCloud:
     )
 
 
+def halton(n: int, base: int, skip: int = 0) -> np.ndarray:
+    """Terms skip + 1, ..., skip + n of the van der Corput sequence in `base`:
+    one coordinate of the Halton sequence, which takes coprime bases."""
+    i, out, scale = np.arange(skip + 1, skip + n + 1), np.zeros(n), 1.0
+    while np.any(i):
+        scale /= base
+        i, digit = np.divmod(i, base)
+        out += digit * scale
+    return out
+
+
 def lattice(*shape: int) -> np.ndarray:
     """Integer lattice nodes of the given shape, one column per axis, C order."""
     return np.indices(shape).reshape(len(shape), -1).T.astype(float)

@@ -10,12 +10,15 @@ Int. J. Numer. Methods Eng. 33, 1992), over all nodes and on the boundary,
 where most of the error lies. In the structured interior the two tie, and
 that is not asserted.
 
-The mesh is the plate cloud's own (s, t) grid: node i(m + 1) + j, with i
-radial from the rim and j angular from y = 0, each quad (a, b, c, d) split
-into (a, b, c) and (a, c, d). The Kirsch displacement is prescribed on the
-outer edges (i = m) and on both symmetry edges (j = 0, j = m); the hole
-(i = 0) is traction-free. Bounds were fixed from measurements before this
-test first ran.
+The structured and jittered meshes are the plate cloud's own (s, t) grid:
+node i(m + 1) + j, with i radial from the rim and j angular from y = 0, each
+quad (a, b, c, d) split into (a, b, c) and (a, c, d). The unstructured
+meshes keep the grid's 4m boundary nodes and put (m - 1)^2 Halton points
+inside, mapped as the grid is, and join them by Delaunay triangulation; the
+paper's claim is that DC PSE needs no element topology. The Kirsch
+displacement is prescribed on the outer edges (i = m) and on both symmetry
+edges (j = 0, j = m); the hole (i = 0) is traction-free. Bounds were fixed
+from measurements before this test first ran.
 """
 
 import math
@@ -24,8 +27,10 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix, csr_matrix, diags
 from scipy.sparse.linalg import spsolve
+from scipy.spatial import Delaunay
 
 from dcpse import (
+    PointCloud,
     build_index,
     fit_slope,
     generate_nodes,
@@ -34,25 +39,71 @@ from dcpse import (
     nrmse,
     recover,
 )
+from dcpse.benchmarks import _PLATE_GRADING, _PLATE_RADIUS, _PLATE_WIDTH, _ray_exit
+from conftest import halton
 
 PLATE = get_problem("plate")
 LEVELS = (1, 2, 3, 4)
 COMPONENTS = ("sxx", "syy", "sxy")  # the order of the element stress vector
-SLOPE_BOUND = {"structured": 2.0, "jittered": 1.6}  # DC PSE, fitted over L2-L4
+SLOPE_BOUND = {  # DC PSE, fitted over L2-L4
+    "structured": 2.0, "jittered": 1.6, "delaunay-0": 1.1, "delaunay-5000": 1.1,
+}
 AVERAGE_OVER_DCPSE = 1.5  # the least ratio of the two errors at L3 and L4
 SPR_OVER_DCPSE = 1.25  # the same for SPR, over all nodes
 SPR_OVER_DCPSE_BOUNDARY = 1.15  # and over the boundary nodes
 DISPLACEMENT_GAIN = 3.0  # the least fall of the FE displacement error per level
 
 
-def p1_plane_strain(coords, material, u_exact):
-    """P1 displacements with u_exact prescribed on the Dirichlet edges, the
-    triangles (e, 3), their areas and their stresses (sxx, syy, sxy)."""
-    n = len(coords)
-    m = math.isqrt(n) - 1
-    ids = np.arange(n).reshape(m + 1, m + 1)
+def grid_mesh(level, kind):
+    """The plate cloud, its quads split into counter-clockwise triangles, and
+    its Dirichlet and boundary node masks."""
+    cloud = generate_nodes(PLATE, level, kind)
+    m = math.isqrt(cloud.n) - 1
+    ids = np.arange(cloud.n).reshape(m + 1, m + 1)
     a, b, c, d = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
     tri = np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)]).reshape(-1, 3)
+    i, j = np.divmod(ids.ravel(), m + 1)
+    fixed = (i == m) | (j == 0) | (j == m)
+    return cloud, tri, fixed, fixed | (i == 0)
+
+
+def _plate_map(s, t):
+    """(s, t) in [0, 1]^2 to the plate, by the grading and ray map of the
+    plate cloud: the grid (i/m, j/m) lands on its nodes bit for bit."""
+    sg = np.expm1(_PLATE_GRADING * s) / math.expm1(_PLATE_GRADING)
+    theta = t * (math.pi / 2.0)
+    rho = _PLATE_RADIUS + sg * (_ray_exit(theta, _PLATE_WIDTH) - _PLATE_RADIUS)
+    return np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
+
+
+def delaunay_mesh(level, skip):
+    """The plate grid's 4m boundary nodes and (m - 1)^2 Halton points (bases
+    2 and 3, the first `skip` left out) kept a gap g = 0.3 / m inside in
+    (s, t), against slivers; the Delaunay triangles outside the hole,
+    counter-clockwise, and the Dirichlet and boundary node masks."""
+    m = 8 * 2**level
+    i, j = np.divmod(np.arange((m + 1) ** 2), m + 1)
+    rim = (i == 0) | (i == m) | (j == 0) | (j == m)
+    g, inner = 0.3 / m, (m - 1) ** 2
+    s = np.concatenate([i[rim] / m, g + (1 - 2 * g) * halton(inner, 2, skip)])
+    t = np.concatenate([j[rim] / m, g + (1 - 2 * g) * halton(inner, 3, skip)])
+    coords = _plate_map(s, t)
+    tri = Delaunay(coords).simplices
+    tri = tri[np.hypot(*coords[tri].mean(axis=1).T) >= _PLATE_RADIUS]
+    e = coords[tri[:, 1:]] - coords[tri[:, :1]]
+    flip = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0] < 0
+    tri[flip] = tri[flip][:, ::-1]
+    assert len(tri) == 2 * m * m  # one loop of 4m boundary nodes: no hole crossed
+    fixed = np.concatenate([((i == m) | (j == 0) | (j == m))[rim], np.zeros(inner, bool)])
+    boundary = np.arange(len(coords)) < rim.sum()
+    return PointCloud(coords), tri, fixed, boundary
+
+
+def p1_plane_strain(coords, tri, fixed, material, u_exact):
+    """P1 displacements on the counter-clockwise triangles tri (e, 3) with
+    u_exact prescribed at the fixed nodes, the triangles' areas and their
+    stresses (sxx, syy, sxy)."""
+    n = len(coords)
     x, y = coords[tri, 0], coords[tri, 1]
     bx = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)  # y_{k+1} - y_{k+2}
     by = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)  # x_{k+2} - x_{k+1}
@@ -67,13 +118,12 @@ def p1_plane_strain(coords, material, u_exact):
     dofs = (2 * tri[:, :, None] + np.arange(2)).reshape(-1, 6)
     rows, cols = np.repeat(dofs, 6, axis=1), np.tile(dofs, 6)
     K = coo_matrix((ke.ravel(), (rows.ravel(), cols.ravel())), (2 * n, 2 * n)).tocsr()
-    i, j = np.divmod(np.arange(n), m + 1)
-    fixed = np.repeat((i == m) | (j == 0) | (j == m), 2)
+    fixed = np.repeat(fixed, 2)
     free, held = np.flatnonzero(~fixed), np.flatnonzero(fixed)
     u = np.asarray(u_exact, dtype=np.float64).ravel().copy()
     u[free] = spsolve(K[free][:, free].tocsc(), -(K[free][:, held] @ u[held]))
     stress = (D @ (B @ u[dofs][:, :, None]))[:, :, 0]
-    return u.reshape(n, 2), tri, area, stress
+    return u.reshape(n, 2), area, stress
 
 
 def element_average(n, tri, area, stress):
@@ -113,18 +163,17 @@ def patch_recovery(coords, tri, stress):
 
 
 def _level(level, kind):
-    cloud = generate_nodes(PLATE, level, kind)
+    skip = kind.partition("delaunay-")[2]
+    mesh = delaunay_mesh(level, int(skip)) if skip else grid_mesh(level, kind)
+    cloud, tri, fixed, rim = mesh
     exact, u_exact = PLATE.exact(cloud.coords), PLATE.input_field(cloud.coords)
-    u, tri, area, stress = p1_plane_strain(cloud.coords, PLATE.material, u_exact)
+    u, area, stress = p1_plane_strain(cloud.coords, tri, fixed, PLATE.material, u_exact)
     nodal = recover(cloud, build_index(cloud), u, PLATE.material).stress
     recovered = {
         "dcpse": np.column_stack([nodal.component(c[1:]) for c in COMPONENTS]),
         "average": element_average(cloud.n, tri, area, stress),
         "spr": patch_recovery(cloud.coords, tri, stress),
     }
-    m = math.isqrt(cloud.n) - 1
-    i, j = np.divmod(np.arange(cloud.n), m + 1)
-    rim = (i == 0) | (i == m) | (j == 0) | (j == m)
     row = {
         "h": normalized_spacing(cloud.n, cloud.dim),
         "u_error": float(np.max(np.abs(u - u_exact))),
@@ -137,7 +186,7 @@ def _level(level, kind):
     return row
 
 
-@pytest.fixture(scope="module", params=["structured", "jittered"])
+@pytest.fixture(scope="module", params=list(SLOPE_BOUND))
 def sweep(request):
     return request.param, [_level(level, request.param) for level in LEVELS]
 

@@ -1,5 +1,8 @@
 """CSV round trips, MSH node import, and JSON report files."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -77,6 +80,17 @@ class TestCsvRead:
         with pytest.raises(ParseError, match="3") as err:
             read_points_csv(path)
         assert err.value.line == 3
+
+    def test_error_survives_pickle_and_copy(self, tmp_path):
+        # a process pool sends a worker's exception back pickled
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n0.0,0.0\n1.0,oops\n")
+        with pytest.raises(ParseError) as err:
+            read_points_csv(path)
+        for back in (pickle.loads(pickle.dumps(err.value)), copy.deepcopy(err.value)):
+            assert type(back) is ParseError
+            assert str(back) == str(err.value)
+            assert (back.path, back.line) == (err.value.path, 3)
 
     def test_line_numbers_count_physical_lines(self, tmp_path):
         # a header cell quoted across two lines puts the second data row on line 4

@@ -1,7 +1,9 @@
 """Derivative stencil construction: basis, moment systems, solving, apply."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import re
 import sys
 import threading
@@ -34,10 +36,8 @@ from dcpse.operators import (
     _basis_matrix,
     _first_partials,
     _fold,
-    _rhs,
     _solve,
     _solve_block,
-    multi_index_order,
 )
 from conftest import (
     clustered_cloud,
@@ -171,7 +171,12 @@ class TestMomentSystem:
         basis = monomial_basis(alpha, 2)
         want = np.zeros(len(basis))
         want[basis.index(alpha)] = value
-        assert np.array_equal(_rhs(tuple(basis), alpha), want)
+        assert np.array_equal(_basis_cached(alpha, 2)[2], want)
+
+    def test_cached_rhs_is_read_only(self):
+        # every build of the same (alpha, r) shares the cached b
+        with pytest.raises(ValueError, match="read-only"):
+            _basis_cached((1, 0), 2)[2][0] = 1.0
 
     @pytest.mark.parametrize(
         "alpha, r, chains",
@@ -224,7 +229,7 @@ class TestMomentSystem:
         # depend on the memory layout of the scaled offsets; one block of 512
         # nodes with 30 neighbors each, the size where a float pow changed
         # bits with the layout
-        basis, chain = _basis_cached(alpha, r)
+        basis, chain, _ = _basis_cached(alpha, r)
         assert set(basis) == set(chains)
         d = len(alpha)
         scaled = np.random.default_rng(5).uniform(-2.0, 2.0, size=(512, 30, d))
@@ -248,16 +253,14 @@ class TestMomentSystem:
         planar = jittered_cloud(2, 9, seed=3)
         built = build_operator(planar, build_index(planar), OperatorSpec(alpha=(1, 0)))
         for cloud, op in ((planar, built), (cantilever[0], cantilever[1][0])):
-            b = _rhs(_basis_cached(op.alpha, op.r)[0], op.alpha)
+            b = _basis_cached(op.alpha, op.r)[2]
             for p in range(cloud.n):
                 eps, ids = op.eps[p : p + 1], op.neighbor_ids[p]
                 V, E, A = _one_system(cloud, p, ids, eps[0], op.alpha, op.r)
-                cond, coeffs, W, why = _solve(
-                    V[None], E[None], A[None], eps, b[:, None], op.order
-                )
-                want = np.linalg.inv(A[None]) @ b[None, :, None]
+                cond, W, why = _solve(V[None], E[None], A[None], eps, b[:, None], op.order)
+                a = np.linalg.inv(A[None]) @ b[None, :, None]
                 assert not why
-                assert np.array_equal(coeffs[0, 0, :, 0], want[0, :, 0]), p
+                assert np.array_equal(W[0], _fold(V[None], E[None], eps, a, op.order)), p
                 assert op.condition[p] == cond[0] == np.linalg.cond(A, 1), p
                 assert np.array_equal(W[0, 0], op.weights[p]), p
 
@@ -266,24 +269,23 @@ class TestMomentSystem:
         # singular; the others still get the bits they get as a batch of one
         cloud = jittered_cloud(2, 9, seed=3)
         spec = OperatorSpec(alpha=(1, 0))
-        basis, chain = _basis_cached(spec.alpha, spec.r)
+        basis, chain, b = _basis_cached(spec.alpha, spec.r)
         nodes = np.array([10, 10, 40])
         ids, _ = _k_nearest_arrays(build_index(cloud), 2 * len(basis), nodes)
         offsets = cloud.coords[nodes, None] - cloud.coords[ids]
         eps = _spacing(offsets)
         V, E, A = _assemble(offsets, eps, chain)
         A[1, -1] = A[1, :, -1] = 0.0  # an exactly zero pivot
-        rhs = _rhs(basis, spec.alpha)[:, None]
-        cond, coeffs, W, why = _solve(V, E, A, eps, rhs, spec.order)
+        cond, W, why = _solve(V, E, A, eps, b[:, None], spec.order)
         assert why == {1: "moment matrix is numerically singular"}
-        assert cond[1] == np.inf and np.all(np.isnan(coeffs[:, 1]))
+        assert cond[1] == np.inf and np.all(np.isnan(W[:, 1]))
         for i in (0, 2):
             one = V[i : i + 1], E[i : i + 1], A[i : i + 1], eps[i : i + 1]
-            alone = _solve(*one, rhs, spec.order)
+            alone = _solve(*one, b[:, None], spec.order)
             assert cond[i] == alone[0][0]
-            assert np.array_equal(coeffs[:, i], alone[1][:, 0])
-            assert np.array_equal(W[:, i], alone[2][:, 0])
-            row = V[i : i + 1], E[i : i + 1], eps[i : i + 1], coeffs[0, i : i + 1]
+            assert np.array_equal(W[:, i], alone[1][:, 0])
+            a = np.linalg.inv(A[i : i + 1]) @ b[None, :, None]
+            row = V[i : i + 1], E[i : i + 1], eps[i : i + 1], a
             assert np.array_equal(W[0, i], _fold(*row, spec.order)[0])
 
 
@@ -436,7 +438,7 @@ class TestBuildOperator:
         index = build_index(cloud)
         spec = OperatorSpec(alpha=alpha, r=r)
         op = build_operator(cloud, index, spec)
-        degree = multi_index_order(alpha) + r - 1
+        degree = sum(alpha) + r - 1
         terms = full_poly(dim, degree, seed=3)
         values = poly_eval(cloud.coords, terms)
         want = poly_eval(cloud.coords, poly_derivative(terms, alpha))
@@ -503,6 +505,17 @@ class TestBuildOperator:
             build_operator(cloud, index, OperatorSpec(alpha=(0, 1)))
         assert len(err.value.failed_nodes) == cloud.n
         assert "node" in str(err.value)
+
+    def test_error_survives_pickle_and_copy(self):
+        # a process pool sends a worker's exception back pickled
+        t = np.linspace(0.0, 1.0, 30)
+        cloud = PointCloud(np.column_stack([t, 2.0 * t]))
+        with pytest.raises(OperatorBuildError) as err:
+            build_operator(cloud, build_index(cloud), OperatorSpec(alpha=(0, 1)))
+        for back in (pickle.loads(pickle.dumps(err.value)), copy.deepcopy(err.value)):
+            assert type(back) is OperatorBuildError
+            assert str(back) == str(err.value)
+            assert back.failed_nodes == err.value.failed_nodes
 
     def test_message_names_ten_nodes_then_the_total(self):
         # a nearly 1-d cloud (y spans 1e-6) fails at every node; the message
@@ -728,6 +741,7 @@ class TestStencilStore:
             assert op.support_size is ops[0].support_size
             assert op.condition is ops[0].condition
         assert not ops[0].eps.flags.writeable
+        assert not dataclasses.replace(ops[0], eps=np.ones(ops[0].n)).eps.flags.writeable
 
 
 def _moment_deviation_per_node(op, cloud):
@@ -815,8 +829,8 @@ class TestVerifyMoments:
 
 def _gradient_rhs(dim):
     alphas = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    basis = monomial_basis(alphas[0], 2)
-    return OperatorSpec(alpha=alphas[0]), np.column_stack([_rhs(basis, a) for a in alphas])
+    rhs = np.column_stack([_basis_cached(a, 2)[2] for a in alphas])
+    return OperatorSpec(alpha=alphas[0]), rhs
 
 
 class TestBatchedEngine:
@@ -844,7 +858,7 @@ class TestBatchedEngine:
         # a batch of one, for first-attempt and regrown nodes alike
         for p in np.concatenate([sample, regrown[::4]]):
             block, final, retry = _solve_block(
-                cloud, index, spec, rhs, np.array([p]), int(size[p])
+                index, spec, rhs, np.array([p]), int(size[p])
             )
             assert not final and not retry
             self._assert_rows_match(ops, block, [p])
@@ -853,13 +867,13 @@ class TestBatchedEngine:
         mixed = np.random.default_rng(1).permutation(
             np.concatenate([sample, others[: 512 - sample.size]])
         )
-        block, final, retry = _solve_block(cloud, index, spec, rhs, mixed, 20)
+        block, final, retry = _solve_block(index, spec, rhs, mixed, 20)
         assert not final and not retry
         self._assert_rows_match(ops, block, mixed)
         # the regrown nodes: together they fail at k0 and pass at k = 30
-        block, final, retry = _solve_block(cloud, index, spec, rhs, regrown, 20)
+        block, final, retry = _solve_block(index, spec, rhs, regrown, 20)
         assert not final and sorted(retry) == regrown.tolist()
-        block, final, retry = _solve_block(cloud, index, spec, rhs, regrown, 30)
+        block, final, retry = _solve_block(index, spec, rhs, regrown, 30)
         assert not final and not retry
         self._assert_rows_match(ops, block, regrown)
 

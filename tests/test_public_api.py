@@ -1,5 +1,7 @@
 """The package exports each public name once, from the module that defines it."""
 
+import ast
+import pathlib
 import types
 
 import pytest
@@ -39,3 +41,32 @@ def test_star_import_binds_exactly_all():
     exec("from dcpse import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(dcpse.__all__)
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names a module's imports bind that it neither reads nor lists in
+    __all__; __future__ and star imports bind none."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names if a.name != "*")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                strings = (c for c in ast.walk(node) if isinstance(c, ast.Constant))
+                used.update(c.value for c in strings)
+    return sorted(bound - used)
+
+
+def test_each_module_uses_every_name_it_imports():
+    package = pathlib.Path(dcpse.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert unused == {}
